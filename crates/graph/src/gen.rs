@@ -112,20 +112,14 @@ impl Graph {
 /// A path on `n` nodes (`n ≥ 1`); node `i` is adjacent to `i + 1`.
 ///
 /// Interior nodes have port 0 toward the smaller neighbor and port 1 toward
-/// the larger one.
+/// the larger one; edge `i` joins `i` and `i + 1`.
 pub fn path(n: usize) -> Graph {
     assert!(n >= 1, "path needs at least one node");
-    let mut adj = vec![Vec::new(); n];
-    #[allow(clippy::needless_range_loop)] // index drives several arrays
-    for v in 0..n {
-        if v > 0 {
-            adj[v].push(v - 1);
-        }
-        if v + 1 < n {
-            adj[v].push(v + 1);
-        }
+    let mut b = GraphBuilder::new(n).assume_simple();
+    for v in 1..n {
+        b.add_edge(v - 1, v).expect("path edges are valid");
     }
-    Graph::from_adjacency(&adj).expect("path adjacency is valid")
+    b.build().expect("path is a valid graph")
 }
 
 /// A cycle on `n ≥ 3` nodes; port 0 points to the predecessor
@@ -214,56 +208,168 @@ pub fn spider(legs: usize, leg_len: usize) -> Graph {
 
 /// A uniformly random-ish tree on `n` nodes with maximum degree
 /// `max_degree`: node `i` attaches to a random earlier node with remaining
-/// capacity. Deterministic given `seed`.
+/// capacity. Deterministic given `seed`; this is
+/// [`random_forest`]`(n, 1, max_degree, seed)`, so it costs `O(n log n)`.
 ///
 /// # Panics
 ///
-/// Panics if `max_degree < 2` and `n > 2` (no such tree exists).
+/// Panics unless [`tree_fits`]`(n, max_degree)`.
 pub fn random_tree(n: usize, max_degree: u8, seed: u64) -> Graph {
-    assert!(n >= 1);
-    if n > 2 {
-        assert!(max_degree >= 2, "trees on >2 nodes need max degree >= 2");
+    assert!(
+        tree_fits(n, max_degree),
+        "no tree on {n} nodes has max degree {max_degree}"
+    );
+    random_forest(n, 1, max_degree, seed)
+}
+
+/// Whether some tree on `n` nodes has maximum degree at most
+/// `max_degree`, i.e. whether [`random_tree`]`(n, max_degree, _)` can
+/// grow one: `n >= 1`, and `max_degree >= 1` for `n == 2`,
+/// `max_degree >= 2` for `n > 2`.
+pub fn tree_fits(n: usize, max_degree: u8) -> bool {
+    match n {
+        0 => false,
+        1 => true,
+        2 => max_degree >= 1,
+        _ => max_degree >= 2,
     }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n).with_max_degree(max_degree);
-    let mut degree = vec![0u32; n];
-    for v in 1..n {
-        // Sample an earlier node with remaining capacity.
-        let candidates: Vec<usize> = (0..v)
-            .filter(|&u| degree[u] < u32::from(max_degree))
-            .collect();
-        assert!(
-            !candidates.is_empty(),
-            "degree bound too small to grow the tree"
-        );
-        let u = candidates[rng.gen_range(0..candidates.len())];
-        b.add_edge(u, v).expect("tree edges are valid");
-        degree[u] += 1;
-        degree[v] += 1;
-    }
-    b.build().expect("random tree respects the degree bound")
 }
 
 /// A random forest on `n` nodes with (at least) `components` trees.
 /// Deterministic given `seed`.
+///
+/// Nodes `0..components` are roots of separate trees; each later node `v`
+/// attaches to a uniformly random earlier node `u` with `u ≡ v (mod
+/// components)` and remaining capacity, picked as the `k`-th such node in
+/// index order for `k = rng.gen_range(0..count)`. A Fenwick tree over the
+/// nodes with spare degree finds that node in `O(log n)`, so the forest
+/// costs `O(n log n)`; the draws, and hence the port-numbered graph for a
+/// given seed, are those of the earlier generator that rescanned every
+/// earlier node.
+///
+/// # Panics
+///
+/// Panics unless `1 <= components <= n`, or if some node finds no earlier
+/// node of its stripe with remaining capacity (`max_degree` too small).
 pub fn random_forest(n: usize, components: usize, max_degree: u8, seed: u64) -> Graph {
     assert!(components >= 1 && components <= n);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n).with_max_degree(max_degree);
+    let mut b = GraphBuilder::new(n)
+        .with_max_degree(max_degree)
+        .assume_simple();
+    let cap = u32::from(max_degree);
     let mut degree = vec![0u32; n];
-    // Nodes 0..components are roots of separate trees; each later node
-    // attaches within the tree of a random earlier node of the same stripe.
+    let mut pool = CandidatePool::new(n, components);
+    if cap > 0 {
+        for root in 0..components {
+            pool.insert(root);
+        }
+    }
     for v in components..n {
-        let candidates: Vec<usize> = (0..v)
-            .filter(|&u| u % components == v % components && degree[u] < u32::from(max_degree))
-            .collect();
-        assert!(!candidates.is_empty(), "degree bound too small");
-        let u = candidates[rng.gen_range(0..candidates.len())];
+        let stripe = v % components;
+        let live = pool.live[stripe];
+        assert!(live > 0, "degree bound too small to grow the forest");
+        let u = pool.kth(stripe, rng.gen_range(0..live));
         b.add_edge(u, v).expect("forest edges are valid");
         degree[u] += 1;
-        degree[v] += 1;
+        if degree[u] == cap {
+            pool.remove(u);
+        }
+        // `v` has only its parent edge so far; later nodes attach to it.
+        degree[v] = 1;
+        if cap > 1 {
+            pool.insert(v);
+        }
     }
     b.build().expect("random forest respects the degree bound")
+}
+
+/// The nodes of a [`random_forest`] that still have spare degree, grouped
+/// by stripe `v % stripes`, with the `k`-th one of a stripe (in index
+/// order) found in `O(log n)`.
+///
+/// Nodes sit at stripe-major slots (stripe `s` holds `s, s + stripes, ...`
+/// in order), over which a Fenwick tree counts the live ones.
+struct CandidatePool {
+    /// 1-based Fenwick tree over the slots' 0/1 live flags.
+    fenwick: Vec<u32>,
+    /// First slot of each stripe.
+    start: Vec<usize>,
+    /// Live nodes per stripe.
+    live: Vec<usize>,
+}
+
+impl CandidatePool {
+    fn new(n: usize, stripes: usize) -> Self {
+        let mut start = Vec::with_capacity(stripes);
+        let mut next = 0;
+        for s in 0..stripes {
+            start.push(next);
+            next += (n - s).div_ceil(stripes);
+        }
+        Self {
+            fenwick: vec![0; n + 1],
+            start,
+            live: vec![0; stripes],
+        }
+    }
+
+    fn slot(&self, v: usize) -> usize {
+        let stripes = self.live.len();
+        self.start[v % stripes] + v / stripes
+    }
+
+    fn insert(&mut self, v: usize) {
+        let stripes = self.live.len();
+        self.live[v % stripes] += 1;
+        self.add(self.slot(v), 1);
+    }
+
+    fn remove(&mut self, v: usize) {
+        let stripes = self.live.len();
+        self.live[v % stripes] -= 1;
+        self.add(self.slot(v), 1u32.wrapping_neg()); // -1
+    }
+
+    fn add(&mut self, slot: usize, delta: u32) {
+        let mut i = slot + 1;
+        while i < self.fenwick.len() {
+            self.fenwick[i] = self.fenwick[i].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Live nodes in slots `0..slot`.
+    fn prefix(&self, slot: usize) -> usize {
+        let mut sum = 0;
+        let mut i = slot;
+        while i > 0 {
+            sum += self.fenwick[i] as usize;
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// The `k`-th (0-based) live node of `stripe`, in index order.
+    fn kth(&self, stripe: usize, k: usize) -> usize {
+        debug_assert!(k < self.live[stripe]);
+        // Descend to the slot with exactly `rest` live slots before it;
+        // that slot is live, and it lies in `stripe` because `k` is below
+        // the stripe's live count.
+        let mut rest = self.prefix(self.start[stripe]) + k;
+        let len = self.fenwick.len() - 1;
+        let mut slot = 0;
+        let mut step = 1usize << len.ilog2();
+        while step > 0 {
+            let next = slot + step;
+            if next <= len && (self.fenwick[next] as usize) <= rest {
+                slot = next;
+                rest -= self.fenwick[next] as usize;
+            }
+            step >>= 1;
+        }
+        (slot - self.start[stripe]) * self.live.len() + stripe
+    }
 }
 
 /// Why [`random_regular`] could not produce a graph.
@@ -502,10 +608,15 @@ mod tests {
 
     #[test]
     fn random_tree_is_tree_and_bounded() {
-        for seed in 0..5 {
-            let t = random_tree(64, 4, seed);
-            assert!(t.is_tree());
-            assert!(t.max_degree() <= 4);
+        // 200 000 nodes is out of reach of the quadratic scan the
+        // generator replaced, so this also guards its cost.
+        for (n, max_degree) in [(64, 4), (200_000, 3)] {
+            for seed in 0..5 {
+                let t = random_tree(n, max_degree, seed);
+                assert_eq!(t.node_count(), n);
+                assert!(t.is_tree());
+                assert!(t.max_degree() <= max_degree);
+            }
         }
     }
 
@@ -520,6 +631,101 @@ mod tests {
         assert!(f.is_forest());
         let (_, k) = f.components();
         assert_eq!(k, 5);
+    }
+
+    /// The quadratic generator [`random_forest`] replaced: for each node
+    /// it rescans every earlier node of its stripe for spare degree, so it
+    /// is the oracle for the pool's draws.
+    fn reference_forest(n: usize, components: usize, max_degree: u8, seed: u64) -> Graph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n).with_max_degree(max_degree);
+        let mut degree = vec![0u32; n];
+        let mut candidates = Vec::new();
+        for v in components..n {
+            candidates.clear();
+            let mut u = v % components;
+            while u < v {
+                if degree[u] < u32::from(max_degree) {
+                    candidates.push(u);
+                }
+                u += components;
+            }
+            assert!(!candidates.is_empty(), "degree bound too small");
+            let u = candidates[rng.gen_range(0..candidates.len())];
+            b.add_edge(u, v).unwrap();
+            degree[u] += 1;
+            degree[v] += 1;
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn tree_fits_matches_what_the_reference_can_grow() {
+        assert!(!tree_fits(0, 5));
+        for n in 1..=6 {
+            for max_degree in 0..=3 {
+                let grown = std::panic::catch_unwind(|| reference_forest(n, 1, max_degree, 7));
+                assert_eq!(
+                    tree_fits(n, max_degree),
+                    grown.is_ok(),
+                    "n={n} max_degree={max_degree}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn random_tree_matches_the_quadratic_reference() {
+        for n in [1, 2, 3, 50, 1000, 5000] {
+            for max_degree in (0..=5).filter(|&d| tree_fits(n, d)) {
+                for seed in 0..20 {
+                    assert_eq!(
+                        random_tree(n, max_degree, seed),
+                        reference_forest(n, 1, max_degree, seed),
+                        "n={n} max_degree={max_degree} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_forest_matches_the_quadratic_reference() {
+        for n in [1usize, 2, 3, 50, 1000] {
+            for components in [1, 3, 12, n] {
+                if components > n {
+                    continue;
+                }
+                for max_degree in (0..=5).filter(|&d| tree_fits(n.div_ceil(components), d)) {
+                    for seed in 0..20 {
+                        assert_eq!(
+                            random_forest(n, components, max_degree, seed),
+                            reference_forest(n, components, max_degree, seed),
+                            "n={n} components={components} max_degree={max_degree} seed={seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn path_matches_explicit_adjacency() {
+        for n in [1usize, 2, 3, 1000] {
+            let adj: Vec<Vec<usize>> = (0..n)
+                .map(|v| {
+                    let mut l = Vec::new();
+                    if v > 0 {
+                        l.push(v - 1);
+                    }
+                    if v + 1 < n {
+                        l.push(v + 1);
+                    }
+                    l
+                })
+                .collect();
+            assert_eq!(path(n), Graph::from_adjacency(&adj).unwrap(), "n={n}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
 use lcl_faults::NodeFault;
+use lcl_graph::gen;
 use lcl_obs::Event;
 use lcl_service::protocol::{escape_into, parse_flat_object, Scalar};
 use lcl_service::push_str_field;
@@ -516,11 +517,20 @@ impl InitCmd {
         let g3 = want_num(fields, "g3")?;
         let graph = match want_str(fields, "graph")?.as_str() {
             "path" => GraphSpec::Path { n: g1 as usize },
-            "tree" => GraphSpec::RandomTree {
-                n: g1 as usize,
-                max_degree: u8::try_from(g2).map_err(|_| "tree degree overflows u8".to_string())?,
-                seed: g3,
-            },
+            "tree" => {
+                let n = g1 as usize;
+                let max_degree =
+                    u8::try_from(g2).map_err(|_| "tree degree overflows u8".to_string())?;
+                // Reject what `gen::random_tree` would assert on.
+                if !gen::tree_fits(n, max_degree) {
+                    return Err(format!("no tree on {n} nodes has max degree {max_degree}"));
+                }
+                GraphSpec::RandomTree {
+                    n,
+                    max_degree,
+                    seed: g3,
+                }
+            }
             "caterpillar" => GraphSpec::Caterpillar {
                 spine: g1 as usize,
                 legs: g2 as usize,
@@ -680,6 +690,35 @@ mod tests {
         };
         let fields = parse_flat_object(&no_hang.encode()).unwrap();
         assert_eq!(InitCmd::parse(&fields).unwrap(), no_hang);
+    }
+
+    #[test]
+    fn init_rejects_trees_the_generator_cannot_grow() {
+        let parse_tree = |n: usize, max_degree: u8| {
+            let cmd = InitCmd {
+                graph: GraphSpec::RandomTree {
+                    n,
+                    max_degree,
+                    seed: 1,
+                },
+                alg: AlgSpec::GuardedFlood { k: 1 },
+                input: InputSpec::Uniform,
+                ids: vec![],
+                n,
+                shards: 1,
+                shard: 0,
+                plan_text: String::new(),
+                hang_at: None,
+            };
+            InitCmd::parse(&parse_flat_object(&cmd.encode()).unwrap())
+        };
+        for (n, max_degree) in [(0, 3), (3, 1), (3, 0), (100, 1), (2, 0)] {
+            let err = parse_tree(n, max_degree).unwrap_err();
+            assert!(err.contains("no tree on"), "n={n} d={max_degree}: {err}");
+        }
+        for (n, max_degree) in [(1, 0), (2, 1), (3, 2), (100, 3)] {
+            assert!(parse_tree(n, max_degree).is_ok(), "n={n} d={max_degree}");
+        }
     }
 
     #[test]
