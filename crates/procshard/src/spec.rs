@@ -109,9 +109,12 @@ pub struct ProcJob {
     pub alg: AlgSpec,
     /// The input labeling, as a named construction.
     pub input: InputSpec,
-    /// Per-node identifiers (pre-permutation; the supervisor applies
-    /// the fault plan's ID permutation exactly like the in-process
-    /// executor before shipping ids to workers).
+    /// Per-node identifiers, one per node of the graph (a different
+    /// count is [`ProcError::IdCount`](crate::ProcError::IdCount)).
+    /// These are pre-permutation: the supervisor applies the fault
+    /// plan's ID permutation to the whole assignment, exactly like the
+    /// in-process executor, and then ships each worker only the ids of
+    /// the nodes it owns.
     pub ids: Vec<u64>,
     /// The announced `n` handed to [`NodeInit`], or `None` for the
     /// true node count.

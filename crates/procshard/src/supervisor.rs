@@ -36,6 +36,7 @@
 //! filters kills out), so the kill exercises the exact machinery an
 //! unplanned crash would.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -125,6 +126,14 @@ pub enum ProcError {
         /// The superstep at which the divergence surfaced.
         superstep: u32,
     },
+    /// The job's id list does not cover its graph: [`ProcJob::ids`]
+    /// must hold one id per node.
+    IdCount {
+        /// Ids the job carries.
+        ids: usize,
+        /// Nodes of the job's graph.
+        nodes: usize,
+    },
 }
 
 impl std::fmt::Display for ProcError {
@@ -151,6 +160,9 @@ impl std::fmt::Display for ProcError {
                 f,
                 "shard {shard}: replay rehydration diverged at superstep {superstep}"
             ),
+            ProcError::IdCount { ids, nodes } => {
+                write!(f, "the job carries {ids} ids for a {nodes}-node graph")
+            }
         }
     }
 }
@@ -554,7 +566,12 @@ pub fn run_proc_sharded(
     proc: &ProcOptions,
 ) -> Result<RunReport<Degraded<SyncRun>>, ProcError> {
     let graph = job.graph.build();
-    assert_eq!(job.ids.len(), graph.node_count(), "ids cover the graph");
+    if job.ids.len() != graph.node_count() {
+        return Err(ProcError::IdCount {
+            ids: job.ids.len(),
+            nodes: graph.node_count(),
+        });
+    }
     let empty_plan;
     let plan: &FaultPlan = match opts.fault_plan() {
         Some(plan) => plan,
@@ -563,20 +580,11 @@ pub fn run_proc_sharded(
             &empty_plan
         }
     };
-    let plan_text = plan.to_text();
     let log = opts.event_log();
     let budget = opts.run_budget();
     let effective = budget.max_rounds.map_or(job.max_rounds, |cap| {
         job.max_rounds.min(u32::try_from(cap).unwrap_or(u32::MAX))
     });
-    let ids: Vec<u64> = match plan.permutation(graph.node_count()) {
-        Some(perm) => IdAssignment::from_vec(job.ids.clone())
-            .permuted(&perm)
-            .iter()
-            .collect(),
-        None => job.ids.clone(),
-    };
-    let n = job.n_announced.unwrap_or_else(|| graph.node_count());
     let requested = opts.shard_count().unwrap_or(1);
     let map = ShardMap::new(graph.node_count(), requested);
     let m = map.num_shards();
@@ -584,22 +592,9 @@ pub fn run_proc_sharded(
     let kill_at: Vec<Vec<u32>> = (0..m).map(|s| plan.shard_kills(s)).collect();
 
     let mut fleet = Fleet::new(&map, &opts, proc)?;
-    for s in 0..m {
+    for (s, cmd) in init_commands(job, plan, &map, proc).iter().enumerate() {
         let conn = fleet.spawn_worker(s)?;
         fleet.seats[s].conn = Some(conn);
-        let cmd = InitCmd {
-            graph: job.graph.clone(),
-            alg: job.alg.clone(),
-            input: job.input.clone(),
-            ids: ids.clone(),
-            n,
-            shards: m,
-            shard: s,
-            plan_text: plan_text.clone(),
-            hang_at: proc
-                .hang_at
-                .and_then(|(hung, at)| (hung == s).then_some(at)),
-        };
         fleet.send(s, cmd.encode());
     }
 
@@ -782,7 +777,7 @@ pub fn run_proc_sharded(
         line.push('}');
         fleet.send(s, line);
     }
-    let mut outputs: Vec<Vec<Vec<OutLabel>>> = Vec::with_capacity(m);
+    let mut outputs: Vec<Vec<OutLabel>> = Vec::with_capacity(m);
     let mut out_faults: Vec<(Vec<NodeFault>, Vec<NodeFault>)> = Vec::with_capacity(m);
     let mut streams: Vec<Vec<Event>> = Vec::with_capacity(m);
     for s in 0..m {
@@ -790,11 +785,14 @@ pub fn run_proc_sharded(
         expect_op(&reply, "outputs", s)?;
         let labels =
             decode_labels(&want_str(&reply, "labels").map_err(proto(s))?).map_err(proto(s))?;
-        if labels.len() != map.range(s).len() {
+        let owned: usize = map
+            .range(s)
+            .map(|i| usize::from(graph.degree(NodeId(i as u32))))
+            .sum();
+        if labels.len() != owned {
             return Err(proto(s)(format!(
-                "worker labeled {} of {} owned nodes",
-                labels.len(),
-                map.range(s).len()
+                "worker labeled {} of {owned} owned half-edges",
+                labels.len()
             )));
         }
         outputs.push(labels);
@@ -813,17 +811,10 @@ pub fn run_proc_sharded(
         faults.append(f_recv);
     }
 
-    let output = HalfEdgeLabeling::from_node_fn(&graph, |v: NodeId| {
-        let s = map.shard_of(v);
-        let local = v.index() - map.range(s).start;
-        let degree = graph.degree(v) as usize;
-        let labels = std::mem::take(&mut outputs[s][local]);
-        if labels.len() == degree {
-            labels
-        } else {
-            vec![OutLabel(0); degree]
-        }
-    });
+    // Shards own contiguous node ranges in index order and a node's
+    // half-edges are contiguous (CSR), so the shards' runs concatenate
+    // into the labeling in half-edge order.
+    let output: HalfEdgeLabeling<OutLabel> = outputs.into_iter().flatten().collect();
 
     if let Some(log) = log {
         for stream in &streams {
@@ -872,6 +863,41 @@ pub fn run_proc_sharded(
     Ok(RunReport::new(degraded, Trace::new(span.finish())))
 }
 
+/// Every shard's `init` command. The plan's id permutation is applied
+/// to the whole assignment, as the in-process executor applies it, and
+/// only then is each shard handed the ids of its owned range.
+fn init_commands(
+    job: &ProcJob,
+    plan: &FaultPlan,
+    map: &ShardMap,
+    proc: &ProcOptions,
+) -> Vec<InitCmd> {
+    let nodes = map.node_count();
+    let ids: Cow<'_, [u64]> = match plan.permutation(nodes) {
+        Some(perm) => IdAssignment::from_vec(job.ids.clone())
+            .permuted(&perm)
+            .iter()
+            .collect(),
+        None => Cow::Borrowed(&job.ids),
+    };
+    let plan_text = plan.to_text();
+    (0..map.num_shards())
+        .map(|s| InitCmd {
+            graph: job.graph.clone(),
+            alg: job.alg.clone(),
+            input: job.input.clone(),
+            ids: ids[map.range(s)].to_vec(),
+            n: job.n_announced.unwrap_or(nodes),
+            shards: map.num_shards(),
+            shard: s,
+            plan_text: plan_text.clone(),
+            hang_at: proc
+                .hang_at
+                .and_then(|(hung, at)| (hung == s).then_some(at)),
+        })
+        .collect()
+}
+
 /// Asserts a reply's `op`.
 fn expect_op(fields: &[(String, Scalar)], want: &str, shard: usize) -> Result<(), ProcError> {
     let got = want_str(fields, "op").map_err(proto(shard))?;
@@ -882,4 +908,49 @@ fn expect_op(fields: &[(String, Scalar)], want: &str, shard: usize) -> Result<()
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{AlgSpec, GraphSpec, InputSpec};
+
+    /// Each shard's `init` line carries exactly its owned range's ids,
+    /// and the slices concatenate to the permuted assignment.
+    #[test]
+    fn init_lines_carry_only_the_owned_ids() {
+        let job = ProcJob {
+            graph: GraphSpec::Path { n: 10 },
+            alg: AlgSpec::GuardedFlood { k: 2 },
+            input: InputSpec::Uniform,
+            ids: (0..10).map(|i| i * 7 + 1).collect(),
+            n_announced: Some(64),
+            max_rounds: 4,
+        };
+        let plan = FaultPlan::new(5).with_permuted_ids();
+        let perm = plan.permutation(10).expect("why: the plan permutes ids");
+        let permuted: Vec<u64> = IdAssignment::from_vec(job.ids.clone())
+            .permuted(&perm)
+            .iter()
+            .collect();
+        assert_ne!(permuted, job.ids, "the permutation moves some id");
+        for shards in [1, 3, 4, 10] {
+            let map = ShardMap::new(10, shards);
+            let cmds = init_commands(&job, &plan, &map, &ProcOptions::default());
+            assert_eq!(cmds.len(), map.num_shards());
+            let mut shipped = Vec::new();
+            for (s, cmd) in cmds.iter().enumerate() {
+                let fields = parse_flat_object(&cmd.encode()).expect("an init line parses");
+                let parsed = InitCmd::parse(&fields).expect("an init line decodes");
+                assert_eq!(
+                    parsed.ids.len(),
+                    map.range(s).len(),
+                    "shards={shards} s={s}"
+                );
+                assert_eq!(parsed.n, 64);
+                shipped.extend(parsed.ids);
+            }
+            assert_eq!(shipped, permuted, "shards={shards}");
+        }
+    }
 }

@@ -12,6 +12,14 @@
 //! the only processes that know the message type (the workers), and
 //! the supervisor routes them as opaque strings. That is what keeps
 //! the supervisor non-generic over algorithms.
+//!
+//! Both bulk payloads are O(n/shards) per worker, as in the LOCAL model,
+//! where a node starts out knowing only its own identifier: the `init`
+//! command carries only the ids of the shard's owned node range, and
+//! the `outputs` reply carries one flat list of labels over the shard's
+//! owned half-edges. Owned half-edges are contiguous in the graph's CSR
+//! layout, so the supervisor concatenates the shards' lists, in shard
+//! order, into the whole labeling.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -59,12 +67,42 @@ pub fn read_fields(r: &mut impl BufRead) -> Result<Vec<(String, Scalar)>, String
     }
 }
 
+/// Appends the decimal form of `value` without allocating.
+fn push_decimal(out: &mut String, value: u64) {
+    use std::fmt::Write;
+    write!(out, "{value}").expect("why: writing into a String cannot fail");
+}
+
+/// Appends `values` in decimal, separated by `,`.
+fn push_decimal_list(out: &mut String, values: impl IntoIterator<Item = u64>) {
+    for (i, value) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_decimal(out, value);
+    }
+}
+
+/// Parses a `,`-separated decimal list; the empty string is the empty
+/// list.
+fn parse_decimal_list<T: std::str::FromStr>(text: &str, what: &str) -> Result<Vec<T>, String> {
+    if text.is_empty() {
+        return Ok(Vec::new());
+    }
+    text.split(',')
+        .map(|x| {
+            x.parse()
+                .map_err(|_| format!("{what} {x:?} does not parse"))
+        })
+        .collect()
+}
+
 /// Appends `,"name":value` for an unsigned number.
 pub fn push_num_field(out: &mut String, name: &str, value: u64) {
     out.push_str(",\"");
     out.push_str(name);
     out.push_str("\":");
-    out.push_str(&value.to_string());
+    push_decimal(out, value);
 }
 
 /// Appends `,"name":"value"` with escaping.
@@ -406,43 +444,22 @@ pub fn decode_events(text: &str) -> Result<Vec<Event>, String> {
         .collect()
 }
 
-/// Encodes per-node output labels: nodes separated by `;`, port labels
-/// by `,`.
+/// Encodes a shard's output labels as one flat `,`-separated list: the
+/// nodes' port labels in node order, so a degree-0 node contributes
+/// nothing.
 pub fn encode_labels(outputs: &[Vec<lcl::OutLabel>]) -> String {
     let mut out = String::new();
-    for (i, node) in outputs.iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        for (j, label) in node.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&label.0.to_string());
-        }
-    }
+    push_decimal_list(&mut out, outputs.iter().flatten().map(|l| u64::from(l.0)));
     out
 }
 
-/// Decodes per-node output labels; the inverse of [`encode_labels`].
-pub fn decode_labels(text: &str) -> Result<Vec<Vec<lcl::OutLabel>>, String> {
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(';')
-        .map(|node| {
-            if node.is_empty() {
-                return Ok(Vec::new());
-            }
-            node.split(',')
-                .map(|l| {
-                    l.parse()
-                        .map(lcl::OutLabel)
-                        .map_err(|_| format!("label {l:?} is not a u32"))
-                })
-                .collect()
-        })
-        .collect()
+/// Decodes a flat label list; the inverse of [`encode_labels`] up to
+/// the per-node grouping, which the receiver recovers from the graph.
+pub fn decode_labels(text: &str) -> Result<Vec<lcl::OutLabel>, String> {
+    Ok(parse_decimal_list(text, "label")?
+        .into_iter()
+        .map(lcl::OutLabel)
+        .collect())
 }
 
 /// The decoded `init` command: everything a worker needs to
@@ -455,7 +472,10 @@ pub struct InitCmd {
     pub alg: AlgSpec,
     /// The input labeling construction.
     pub input: InputSpec,
-    /// Resolved per-node ids (any plan permutation already applied).
+    /// The ids of this shard's owned node range, indexed by local node
+    /// (the plan's permutation is applied to the whole assignment
+    /// before it is sliced). A worker rejects a list of any other
+    /// length; `parse` does not check it.
     pub ids: Vec<u64>,
     /// The announced `n`.
     pub n: usize,
@@ -496,8 +516,10 @@ impl InitCmd {
         push_num_field(&mut out, "alg_k", k);
         let InputSpec::Uniform = self.input;
         push_text_field(&mut out, "input", "uniform");
-        let ids: Vec<String> = self.ids.iter().map(u64::to_string).collect();
-        push_text_field(&mut out, "ids", &ids.join(","));
+        // Decimal digits and commas need no escaping.
+        out.push_str(",\"ids\":\"");
+        push_decimal_list(&mut out, self.ids.iter().copied());
+        out.push('"');
         push_num_field(&mut out, "n", self.n as u64);
         push_num_field(&mut out, "shards", self.shards as u64);
         push_num_field(&mut out, "shard", self.shard as u64);
@@ -552,15 +574,7 @@ impl InitCmd {
             "uniform" => InputSpec::Uniform,
             other => return Err(format!("unknown input spec {other:?}")),
         };
-        let ids_text = want_str(fields, "ids")?;
-        let ids = if ids_text.is_empty() {
-            Vec::new()
-        } else {
-            ids_text
-                .split(',')
-                .map(|x| x.parse().map_err(|_| format!("id {x:?} is not a u64")))
-                .collect::<Result<Vec<u64>, String>>()?
-        };
+        let ids = parse_decimal_list(&want_str(fields, "ids")?, "id")?;
         Ok(Self {
             graph,
             alg,
@@ -578,6 +592,7 @@ impl InitCmd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_rng::SmallRng;
 
     #[test]
     fn batches_round_trip_for_both_message_types() {
@@ -657,8 +672,108 @@ mod tests {
             vec![lcl::OutLabel(7)],
         ];
         let text = encode_labels(&labels);
-        assert_eq!(text, "1,0;;7");
-        assert_eq!(decode_labels(&text).unwrap(), labels);
+        // One flat list: the degree-0 node contributes no entry.
+        assert_eq!(text, "1,0,7");
+        let flat: Vec<lcl::OutLabel> = labels.concat();
+        assert_eq!(decode_labels(&text).unwrap(), flat);
+        assert_eq!(encode_labels(&[vec![], vec![]]), "");
+        assert_eq!(decode_labels("").unwrap(), vec![]);
+        assert!(decode_labels("1,,7").is_err());
+        assert!(decode_labels("1;7").is_err());
+        assert!(decode_labels("4294967296").is_err());
+    }
+
+    /// Applies 1-4 seeded byte-level mutations (overwrite, insert from
+    /// `alphabet`, delete, duplicate the tail) to `text`.
+    fn mutate(text: &str, rng: &mut SmallRng, alphabet: &[u8]) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        for _ in 0..1 + (rng.next_u64() % 4) {
+            match rng.next_u64() % 4 {
+                0 if !bytes.is_empty() => {
+                    let i = (rng.next_u64() as usize) % bytes.len();
+                    bytes[i] = (rng.next_u64() % 256) as u8;
+                }
+                1 => {
+                    let i = (rng.next_u64() as usize) % (bytes.len() + 1);
+                    let c = alphabet[(rng.next_u64() as usize) % alphabet.len()];
+                    bytes.insert(i, c);
+                }
+                2 if !bytes.is_empty() => {
+                    let i = (rng.next_u64() as usize) % bytes.len();
+                    bytes.remove(i);
+                }
+                _ if !bytes.is_empty() => {
+                    let i = (rng.next_u64() as usize) % bytes.len();
+                    let tail: Vec<u8> = bytes[i..].to_vec();
+                    bytes.extend_from_slice(&tail);
+                }
+                _ => {}
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// 1k seeded byte-level mutations of valid `init` lines and label
+    /// lists. Neither decoder may panic, and whatever still decodes must
+    /// survive an encode/decode round trip.
+    #[test]
+    fn init_and_label_decoders_survive_a_thousand_seeded_mutations() {
+        let mut init_accepted = 0u32;
+        let mut labels_accepted = 0u32;
+        for seed in 0..1000u64 {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_f00d_cafe_0016);
+            let graph = match seed % 4 {
+                0 => GraphSpec::Path { n: 40 },
+                1 => GraphSpec::RandomTree {
+                    n: 64,
+                    max_degree: 3,
+                    seed,
+                },
+                2 => GraphSpec::Caterpillar { spine: 6, legs: 2 },
+                _ => GraphSpec::Star { leaves: 5 },
+            };
+            let cmd = InitCmd {
+                graph,
+                alg: if seed % 2 == 0 {
+                    AlgSpec::GuardedFlood { k: 3 }
+                } else {
+                    AlgSpec::AntiMatchingE1 { delta: 3 }
+                },
+                input: InputSpec::Uniform,
+                ids: (0..rng.next_u64() % 12).map(|_| rng.next_u64()).collect(),
+                n: 40,
+                shards: 4,
+                shard: (seed % 4) as usize,
+                plan_text: lcl_faults::FaultPlan::random(seed, 40, 8).to_text(),
+                hang_at: (seed % 3 == 0).then_some(2),
+            };
+            let line = mutate(&cmd.encode(), &mut rng, b"0123456789,:\"{}\\u-x");
+            if let Ok(fields) = parse_flat_object(&line) {
+                if let Ok(parsed) = InitCmd::parse(&fields) {
+                    init_accepted += 1;
+                    let again = parse_flat_object(&parsed.encode()).expect("re-encoded line");
+                    assert_eq!(InitCmd::parse(&again).as_ref(), Ok(&parsed));
+                }
+            }
+
+            let labels: Vec<Vec<lcl::OutLabel>> = (0..rng.next_u64() % 8)
+                .map(|_| {
+                    (0..rng.next_u64() % 4)
+                        .map(|_| lcl::OutLabel((rng.next_u64() % 1000) as u32))
+                        .collect()
+                })
+                .collect();
+            let text = mutate(&encode_labels(&labels), &mut rng, b"0123456789,;-+ ");
+            if let Ok(decoded) = decode_labels(&text) {
+                labels_accepted += 1;
+                let again = encode_labels(std::slice::from_ref(&decoded));
+                assert_eq!(decode_labels(&again).as_ref(), Ok(&decoded));
+            }
+        }
+        for accepted in [init_accepted, labels_accepted] {
+            assert!(accepted > 0, "some light mutations should still decode");
+            assert!(accepted < 1000, "heavy mutations should be rejected");
+        }
     }
 
     #[test]

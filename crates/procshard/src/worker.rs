@@ -3,8 +3,9 @@
 //! A worker is a faithful transplant of the in-process shard runner
 //! (`lcl_shard`'s superstep executor) into its own address space. It
 //! reconstructs its shard of the computation from an [`InitCmd`] —
-//! graph, input, ids, and fault plan are all rebuilt locally from the
-//! deterministic spec — and then steps through the same five phases
+//! graph, input, and fault plan are rebuilt locally from the
+//! deterministic spec, and only the owned nodes' ids are shipped — and
+//! then steps through the same five phases
 //! the mpsc substrate uses (`begin`, `compute`, `deliver`, `finish`,
 //! `output`), driven by supervisor commands over a Unix socket instead
 //! of a thread barrier. Faults are buffered per phase and shipped in
@@ -69,6 +70,53 @@ type SnapshotImage<A> = (
     Vec<Option<Vec<<A as SyncAlgorithm>::Msg>>>,
 );
 
+/// Destination shard → `(source node, source port)` of each outbound
+/// halo entry, in the receiver's scan order.
+type OutRoutes = BTreeMap<usize, Vec<(u32, u8)>>;
+/// `(source node, source port)` → (source shard, batch position) of
+/// each inbound halo entry.
+type HaloPos = HashMap<(u32, u8), (usize, u32)>;
+
+/// Computes shard `me`'s halo routes from its owned half-edges alone.
+///
+/// A halo batch from shard `a` to shard `b` lists the messages crossing
+/// from `a` to `b` in `b`'s scan order: by receiving node, then
+/// receiving port. The inbound side is this shard's own scan order, so
+/// batch positions count up as the owned half-edges are walked; the
+/// outbound side is the same walk sorted by (neighbor, twin port).
+fn routes(graph: &Graph, map: &ShardMap, me: usize) -> (OutRoutes, HaloPos) {
+    let range = map.range(me);
+    // (owned node, port, neighbor, twin port) of every cut half-edge.
+    let mut cut: Vec<(u32, u8, u32, u8)> = Vec::new();
+    for i in range.clone() {
+        let v = NodeId(i as u32);
+        for (p, h) in graph.half_edges_of(v).enumerate() {
+            let twin = graph.twin(h);
+            let u = graph.node_of(twin);
+            if !range.contains(&u.index()) {
+                cut.push((v.0, p as u8, u.0, graph.port_of(twin)));
+            }
+        }
+    }
+    let mut halo_pos = HaloPos::with_capacity(cut.len());
+    let mut in_counts: HashMap<usize, u32> = HashMap::new();
+    for &(_, _, u, q) in &cut {
+        let d = map.shard_of(NodeId(u));
+        let idx = in_counts.entry(d).or_insert(0);
+        halo_pos.insert((u, q), (d, *idx));
+        *idx += 1;
+    }
+    cut.sort_unstable_by_key(|&(_, _, u, q)| (u, q));
+    let mut out_routes = OutRoutes::new();
+    for (v, p, u, _) in cut {
+        out_routes
+            .entry(map.shard_of(NodeId(u)))
+            .or_default()
+            .push((v, p));
+    }
+    (out_routes, halo_pos)
+}
+
 /// One shard's execution state inside a worker process: the in-process
 /// runner's fields minus the mpsc plumbing (halos arrive as decoded
 /// wire batches) and minus the `lost` leg (an escaped panic here kills
@@ -86,9 +134,9 @@ struct ProcRunner<A: SyncAlgorithm> {
     snapshot: Option<SnapshotImage<A>>,
     /// Destination shard → `(source node, source port)` entries in the
     /// receiver's scan order, recomputed locally from the shared spec.
-    out_routes: BTreeMap<usize, Vec<(u32, u8)>>,
+    out_routes: OutRoutes,
     /// `(source node, source port)` → (source shard, batch position).
-    halo_pos: HashMap<(u32, u8), (usize, u32)>,
+    halo_pos: HaloPos,
     /// Batches decoded from the current `deliver` command's payload.
     inbox: BTreeMap<usize, Vec<Option<A::Msg>>>,
     f_init: Vec<NodeFault>,
@@ -115,41 +163,16 @@ impl<A: SyncAlgorithm> ProcRunner<A> {
 
     /// Builds the worker's runner: carves the shard's fault domain out
     /// of the shipped plan (kills filtered — see [`ShardDomain::carve`])
-    /// and recomputes halo routes by the same scan as the coordinator.
-    fn new(cmd: &InitCmd, graph: &Graph, plan: &FaultPlan) -> Self {
-        let map = ShardMap::new(graph.node_count(), cmd.shards);
-        let me = cmd.shard;
-        let mut out_routes: BTreeMap<usize, Vec<(u32, u8)>> = BTreeMap::new();
-        let mut halo_pos: HashMap<(u32, u8), (usize, u32)> = HashMap::new();
-        let mut in_counts: HashMap<usize, u32> = HashMap::new();
-        for s in 0..map.num_shards() {
-            for i in map.range(s) {
-                let v = NodeId(i as u32);
-                for h in graph.half_edges_of(v) {
-                    let twin = graph.twin(h);
-                    let u = graph.node_of(twin);
-                    let d = map.shard_of(u);
-                    if d == s {
-                        continue;
-                    }
-                    let q = graph.port_of(twin);
-                    if d == me {
-                        out_routes.entry(s).or_default().push((u.0, q));
-                    }
-                    if s == me {
-                        let idx = in_counts.entry(d).or_insert(0);
-                        halo_pos.insert((u.0, q), (d, *idx));
-                        *idx += 1;
-                    }
-                }
-            }
-        }
+    /// and computes halo routes from the owned half-edges (see
+    /// [`routes`]).
+    fn new(me: usize, map: &ShardMap, graph: &Graph, plan: &FaultPlan) -> Self {
+        let (out_routes, halo_pos) = routes(graph, map, me);
         let range = map.range(me);
         Self {
             // The worker's budget axis is the supervisor's concern
             // (deadlines and `max_rounds` are enforced from outside),
             // so the carved domain is unlimited here.
-            domain: ShardDomain::carve(me, &map, plan, &Budget::unlimited()),
+            domain: ShardDomain::carve(me, map, plan, &Budget::unlimited()),
             stage: format!("shard/{me}"),
             start: range.start,
             len: range.len(),
@@ -180,7 +203,8 @@ impl<A: SyncAlgorithm> ProcRunner<A> {
         }
     }
 
-    /// Initializes the shard's nodes (panic-isolated per node).
+    /// Initializes the shard's nodes (panic-isolated per node); `ids`
+    /// holds the owned nodes' ids, indexed by local node.
     fn init_nodes(
         &mut self,
         alg: &A,
@@ -189,15 +213,16 @@ impl<A: SyncAlgorithm> ProcRunner<A> {
         ids: &[u64],
         n: usize,
     ) {
+        assert_eq!(ids.len(), self.len, "one id per owned node");
         self.states = Vec::with_capacity(self.len);
         self.died = Vec::with_capacity(self.len);
-        for local in 0..self.len {
+        for (local, &id) in ids.iter().enumerate() {
             let i = self.start + local;
             let v = NodeId(i as u32);
             let init = NodeInit {
                 node: v,
                 n,
-                id: ids[i],
+                id,
                 degree: graph.degree(v),
                 inputs: graph.half_edges_of(v).map(|h| input.get(h)).collect(),
             };
@@ -620,16 +645,25 @@ where
     A::Msg: WireMsg,
 {
     let graph = cmd.graph.build();
-    if cmd.ids.len() != graph.node_count() {
+    let map = ShardMap::new(graph.node_count(), cmd.shards);
+    if cmd.shard >= map.num_shards() {
         return Err(format!(
-            "init shipped {} ids for a {}-node graph",
+            "init addresses shard {} of a {}-shard partition",
+            cmd.shard,
+            map.num_shards()
+        ));
+    }
+    let owned = map.range(cmd.shard).len();
+    if cmd.ids.len() != owned {
+        return Err(format!(
+            "init shipped {} ids for shard {}'s {owned} owned nodes",
             cmd.ids.len(),
-            graph.node_count()
+            cmd.shard
         ));
     }
     let input = cmd.input.build(&graph);
     let plan = FaultPlan::parse(&cmd.plan_text).map_err(|e| format!("init plan: {e}"))?;
-    let mut r: ProcRunner<A> = ProcRunner::new(cmd, &graph, &plan);
+    let mut r: ProcRunner<A> = ProcRunner::new(cmd.shard, &map, &graph, &plan);
     r.init_nodes(alg, &graph, &input, &cmd.ids, cmd.n);
 
     let mut ready = open_line("ready");
@@ -790,13 +824,99 @@ mod tests {
             10,
             lcl_faults::RunOptions::new(),
         );
-        let expect: Vec<Vec<OutLabel>> = (0..5u32)
-            .map(|i| {
-                g.half_edges_of(NodeId(i))
-                    .map(|h| run.outcome.outcome.output.get(h))
-                    .collect()
-            })
+        // One flat list over the owned half-edges, in CSR order.
+        let expect: Vec<OutLabel> = g
+            .half_edges()
+            .map(|h| run.outcome.outcome.output.get(h))
             .collect();
         assert_eq!(labels, expect);
+    }
+
+    /// A worker handed the whole id assignment instead of its owned
+    /// range refuses to serve, with an error instead of a panic.
+    #[test]
+    fn worker_rejects_an_id_list_of_the_wrong_length() {
+        let cmd = InitCmd {
+            graph: crate::spec::GraphSpec::Path { n: 5 },
+            alg: AlgSpec::GuardedFlood { k: 2 },
+            input: crate::spec::InputSpec::Uniform,
+            ids: vec![3, 9, 1, 7, 5],
+            n: 5,
+            shards: 2,
+            shard: 1,
+            plan_text: FaultPlan::new(0).to_text(),
+            hang_at: None,
+        };
+        let mut out: Vec<u8> = Vec::new();
+        let err = serve_shard(&cmd, &mut BufReader::new(&b""[..]), &mut out).unwrap_err();
+        assert_eq!(err, "init shipped 5 ids for shard 1's 2 owned nodes");
+        assert!(out.is_empty(), "no ready reply before the check");
+
+        let stray = InitCmd {
+            ids: vec![7, 5],
+            shard: 2,
+            ..cmd
+        };
+        let err = serve_shard(&stray, &mut BufReader::new(&b""[..]), &mut out).unwrap_err();
+        assert_eq!(err, "init addresses shard 2 of a 2-shard partition");
+    }
+
+    /// The route build the worker used before it kept to its owned
+    /// half-edges: a scan over every shard's nodes, in shard order.
+    fn all_shards_routes(graph: &Graph, map: &ShardMap, me: usize) -> (OutRoutes, HaloPos) {
+        let mut out_routes = OutRoutes::new();
+        let mut halo_pos = HaloPos::new();
+        let mut in_counts: HashMap<usize, u32> = HashMap::new();
+        for s in 0..map.num_shards() {
+            for i in map.range(s) {
+                let v = NodeId(i as u32);
+                for h in graph.half_edges_of(v) {
+                    let twin = graph.twin(h);
+                    let u = graph.node_of(twin);
+                    let d = map.shard_of(u);
+                    if d == s {
+                        continue;
+                    }
+                    let q = graph.port_of(twin);
+                    if d == me {
+                        out_routes.entry(s).or_default().push((u.0, q));
+                    }
+                    if s == me {
+                        let idx = in_counts.entry(d).or_insert(0);
+                        halo_pos.insert((u.0, q), (d, *idx));
+                        *idx += 1;
+                    }
+                }
+            }
+        }
+        (out_routes, halo_pos)
+    }
+
+    #[test]
+    fn owned_route_build_equals_the_all_shards_scan() {
+        use crate::spec::GraphSpec;
+        let specs = [
+            GraphSpec::Path { n: 33 },
+            GraphSpec::RandomTree {
+                n: 64,
+                max_degree: 3,
+                seed: 5,
+            },
+            GraphSpec::Caterpillar { spine: 6, legs: 1 },
+            GraphSpec::Star { leaves: 3 },
+        ];
+        for spec in specs {
+            let g = spec.build();
+            for shards in [1, 4, 16] {
+                let map = ShardMap::new(g.node_count(), shards);
+                for me in 0..map.num_shards() {
+                    assert_eq!(
+                        routes(&g, &map, me),
+                        all_shards_routes(&g, &map, me),
+                        "{spec:?}: shards={shards}, shard {me}"
+                    );
+                }
+            }
+        }
     }
 }

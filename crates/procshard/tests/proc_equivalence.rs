@@ -6,7 +6,7 @@
 //! *where* a run executes, never *what* it computes.
 
 use lcl_core::{tree_speedup, SpeedupOptions};
-use lcl_faults::RunOptions;
+use lcl_faults::{FaultPlan, RunOptions};
 use lcl_graph::Graph;
 use lcl_local::{simulate_sync_with, SyncAlgorithm};
 use lcl_obs::Counter;
@@ -126,6 +126,94 @@ fn guarded_flood_matches_both_in_process_substrates() {
 fn lifted_e1_matches_both_in_process_substrates() {
     let outcome = tree_speedup(&anti_matching(3), SpeedupOptions::default());
     assert_equivalence(AlgSpec::AntiMatchingE1 { delta: 3 }, &outcome.algorithm());
+}
+
+/// With an id permutation and an announced `n`, at 3 shards (ranges of
+/// uneven length), a proc run still equals the unsharded executor. The
+/// supervisor must permute the whole assignment before it slices out
+/// each worker's owned ids; slicing first would hand nodes the wrong
+/// ids.
+#[test]
+fn permuted_ids_match_the_local_executor_at_uneven_shards() {
+    let proc = proc_options();
+    let plan = FaultPlan::new(17).with_permuted_ids();
+    let opts = RunOptions::new().faults(&plan);
+    let speedup = tree_speedup(&anti_matching(3), SpeedupOptions::default());
+    let lifted = speedup.algorithm();
+    let mut moved = 0;
+    for (name, spec) in golden_specs() {
+        let g = spec.build();
+        let input = lcl::uniform_input(&g);
+        let ids = ids_for(&g, 3);
+        let n_announced = Some(4 * g.node_count());
+        let flood = simulate_sync_with(
+            &GuardedFlood { k: 3 },
+            &g,
+            &input,
+            &ids,
+            n_announced,
+            10,
+            opts,
+        );
+        let unpermuted = simulate_sync_with(
+            &GuardedFlood { k: 3 },
+            &g,
+            &input,
+            &ids,
+            n_announced,
+            10,
+            RunOptions::new(),
+        );
+        moved += usize::from(unpermuted.outcome != flood.outcome);
+        let e1 = simulate_sync_with(&lifted, &g, &input, &ids, n_announced, 10, opts);
+        for (alg, baseline) in [
+            (AlgSpec::GuardedFlood { k: 3 }, flood),
+            (AlgSpec::AntiMatchingE1 { delta: 3 }, e1),
+        ] {
+            assert!(baseline.outcome.faults.is_empty(), "{name}: clean baseline");
+            let job = ProcJob {
+                graph: spec.clone(),
+                alg,
+                input: InputSpec::Uniform,
+                ids: ids.clone(),
+                n_announced,
+                max_rounds: 10,
+            };
+            let run = run_proc_sharded(&job, opts.sharded(3), &proc)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(run.outcome, baseline.outcome, "{name}: {:?}", job.alg);
+            for counter in [Counter::Rounds, Counter::Messages] {
+                assert_eq!(
+                    run.trace.total(counter),
+                    baseline.trace.total(counter),
+                    "{name}: {counter:?}"
+                );
+            }
+        }
+    }
+    assert!(moved > 0, "the permutation changes some flood output");
+}
+
+/// A job whose id list does not cover its graph is a typed error, not
+/// a panic, and is caught before any worker is spawned.
+#[test]
+fn too_few_ids_is_a_typed_error() {
+    let job = ProcJob {
+        graph: GraphSpec::Path { n: 4 },
+        alg: AlgSpec::GuardedFlood { k: 1 },
+        input: InputSpec::Uniform,
+        ids: vec![1, 2, 3],
+        n_announced: None,
+        max_rounds: 4,
+    };
+    let proc = ProcOptions {
+        worker_bin: Some("/nonexistent/shard-worker".into()),
+        ..ProcOptions::default()
+    };
+    assert_eq!(
+        run_proc_sharded(&job, RunOptions::new().sharded(2), &proc).unwrap_err(),
+        lcl_procshard::ProcError::IdCount { ids: 3, nodes: 4 }
+    );
 }
 
 /// A missing worker binary is a typed error, not a hang.

@@ -49,6 +49,12 @@ echo "== proc kill soak (SIGKILL -> respawn -> replay rehydration -> Certified) 
 # Release-only: 160 process spawns want the optimizer.
 cargo test -q --release -p lcl-procshard --test proc_chaos -- --include-ignored
 
+echo "== perfbench self-test (the benchmark builds and replays against this API) =="
+# perfbench is a workspace of its own, so no step above compiles it.
+# The self-test builds it and the worker, runs every workload on tiny
+# inputs, and checks the replayed per-layer calls; any problem fails.
+python3 perfbench/run.py --self-test
+
 echo "== unwrap() gate (library code must use typed errors or expect) =="
 # Count `.unwrap()` in crate library sources outside `#[cfg(test)]`
 # modules. The baseline is 0: new library code must propagate typed
