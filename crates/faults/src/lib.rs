@@ -25,8 +25,7 @@
 //!   process abort.
 //! * [`RunOptions`] — the one knob bundle consumed by each model's
 //!   `simulate_with` entrypoint: optional event capture, optional fault
-//!   plan, optional budget. Replaces the deprecated
-//!   `simulate`/`simulate_logged`/`simulate_faulted` triplets.
+//!   plan, optional budget.
 //!
 //! Everything is deterministic given `(seed, plan)`: the same plan on
 //! the same instance yields bit-identical outcomes at any worker-thread

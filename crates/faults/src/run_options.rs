@@ -1,10 +1,8 @@
 //! One knob bundle for every simulator entrypoint.
 //!
-//! The instrumented simulators grew a Cartesian explosion of
-//! entrypoints — `simulate`, `simulate_logged`, `simulate_faulted`, each
-//! per model — where every axis (event capture, fault injection,
-//! resource budgets) doubled the surface. [`RunOptions`] collapses the
-//! axes into one borrowing builder consumed by a single `simulate_with`
+//! Every axis of a simulator run (event capture, fault injection,
+//! resource budgets) is one field of [`RunOptions`], which borrows its
+//! log and plan and is consumed by a single `simulate_with` entrypoint
 //! per model:
 //!
 //! ```
@@ -26,8 +24,8 @@
 //! Every axis defaults to *off*: `RunOptions::new()` (or
 //! [`RunOptions::default()`]) reproduces the plain, unlogged, fault-free
 //! run bit-for-bit. The struct is `Copy` and borrows its log and plan,
-//! so handing the same options to many runs is free and keeps ownership
-//! where it was under the old API.
+//! so handing the same options to many runs is free and leaves
+//! ownership with the caller.
 
 use lcl_obs::EventLog;
 

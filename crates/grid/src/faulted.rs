@@ -1,7 +1,7 @@
 //! Fault-injected PROD-LOCAL execution with graceful degradation.
 //!
-//! The opt-in counterpart of [`simulate`](crate::run::simulate): a
-//! [`FaultPlan`] is applied deterministically, every cell's labeling
+//! The fault-plan path of [`simulate_with`](crate::run::simulate_with):
+//! a [`FaultPlan`] is applied deterministically, every cell's labeling
 //! invocation runs panic-isolated, and every fault becomes a typed
 //! [`NodeFault`] record plus an [`lcl_obs::Event::Fault`] in the event
 //! log — the run never aborts.
@@ -46,24 +46,6 @@ fn record_fault(
         round: 0,
         payload,
     });
-}
-
-/// Runs a PROD-LOCAL algorithm under a [`FaultPlan`], degrading instead
-/// of panicking. See the module docs for the per-fault semantics.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_with(..., RunOptions::new().faults(plan).events(log))`"
-)]
-pub fn simulate_prod_faulted(
-    alg: &(impl ProdLocalAlgorithm + ?Sized),
-    grid: &OrientedGrid,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &ProdIds,
-    n_announced: Option<usize>,
-    plan: &FaultPlan,
-    log: Option<&EventLog>,
-) -> RunReport<Degraded<ProdRun>> {
-    simulate_prod_faulted_impl(alg, grid, input, ids, n_announced, plan, log)
 }
 
 pub(crate) fn simulate_prod_faulted_impl(

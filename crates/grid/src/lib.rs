@@ -36,14 +36,10 @@ pub mod ids;
 pub mod run;
 pub mod view;
 
-#[allow(deprecated)]
-pub use faulted::simulate_prod_faulted;
 pub use grid::OrientedGrid;
 pub use ids::ProdIds;
 pub use run::{
     is_empirically_order_invariant_prod, run_order_invariant_prod, run_prod_local, simulate_with,
     FnProdAlgorithm, OrderInvariantProdAlgorithm, ProdLocalAlgorithm, ProdRun,
 };
-#[allow(deprecated)]
-pub use run::{simulate, simulate_prod_logged};
 pub use view::{GridView, RankGridView};

@@ -99,24 +99,6 @@ pub(crate) fn build_view(
     }
 }
 
-/// Runs a PROD-LOCAL algorithm on an oriented grid and reports the
-/// execution trace: the radius used, the instance shape, and the total
-/// window nodes materialized (each radius-`T` view is a box of
-/// `(2T+1)^d` nodes).
-///
-/// This is the instrumented entrypoint behind the facade's `Simulation`
-/// trait; [`run_prod_local`] forwards here and discards the trace.
-#[deprecated(since = "0.1.0", note = "use `simulate_with(..., RunOptions::new())`")]
-pub fn simulate(
-    alg: &(impl ProdLocalAlgorithm + ?Sized),
-    grid: &OrientedGrid,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &ProdIds,
-    n_announced: Option<usize>,
-) -> RunReport<ProdRun> {
-    simulate_impl(alg, grid, input, ids, n_announced, None)
-}
-
 /// Runs a PROD-LOCAL algorithm under
 /// [`RunOptions`](lcl_faults::RunOptions): optional event capture,
 /// optional fault plan. With a fault plan the run is the degrading
@@ -145,23 +127,6 @@ pub fn simulate_with(
         None => simulate_impl(alg, grid, input, ids, n_announced, opts.event_log())
             .map(lcl_faults::Degraded::clean),
     }
-}
-
-/// Like [`simulate`], with every window materialization recorded as an
-/// [`Event::ViewMaterialized`] into the given [`EventLog`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_prod_logged(
-    alg: &(impl ProdLocalAlgorithm + ?Sized),
-    grid: &OrientedGrid,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &ProdIds,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> RunReport<ProdRun> {
-    simulate_impl(alg, grid, input, ids, n_announced, log)
 }
 
 pub(crate) fn simulate_impl(
@@ -209,8 +174,9 @@ pub(crate) fn simulate_impl(
 
 /// Runs a PROD-LOCAL algorithm on an oriented grid, discarding the trace.
 ///
-/// Note: superseded by [`simulate`], which additionally reports the
-/// execution trace; this thin wrapper remains for source compatibility.
+/// Note: superseded by [`simulate_with`], which additionally reports
+/// the execution trace; this thin wrapper remains for source
+/// compatibility.
 pub fn run_prod_local(
     alg: &(impl ProdLocalAlgorithm + ?Sized),
     grid: &OrientedGrid,

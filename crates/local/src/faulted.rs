@@ -1,7 +1,7 @@
 //! Fault-injected LOCAL execution with graceful degradation.
 //!
-//! The opt-in counterparts of [`simulate`](crate::simulate) and
-//! [`simulate_sync`](crate::simulate_sync): a [`FaultPlan`] is applied
+//! The fault-plan paths of [`simulate_with`](crate::simulate_with) and
+//! [`simulate_sync_with`](crate::simulate_sync_with): a [`FaultPlan`] is applied
 //! deterministically, node algorithm invocations run panic-isolated
 //! ([`lcl_faults::isolate`]), and every fault becomes a typed
 //! [`NodeFault`] record plus an [`Event::Fault`] in the event log. The
@@ -59,29 +59,6 @@ fn record_fault(
         round,
         payload,
     });
-}
-
-/// Runs a deterministic LOCAL algorithm under a [`FaultPlan`].
-///
-/// The plan's ID permutation (if any) is applied first; then every node
-/// evaluates its view-function panic-isolated. Crashed nodes (crash
-/// round ≤ the requested radius) and panicking nodes emit placeholder
-/// labels (`OutLabel(0)` per port) and a [`NodeFault`]; corrupted views
-/// perturb the identifiers the node sees. Fault events land in `log`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_with(..., RunOptions::new().faults(plan).events(log))`"
-)]
-pub fn simulate_faulted(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-    plan: &FaultPlan,
-    log: Option<&EventLog>,
-) -> RunReport<Degraded<LocalRun>> {
-    simulate_faulted_impl(alg, graph, input, ids, n_announced, plan, log)
 }
 
 pub(crate) fn simulate_faulted_impl(
@@ -178,32 +155,6 @@ pub(crate) fn simulate_faulted_impl(
         faults,
     };
     RunReport::new(degraded, Trace::new(span.finish()))
-}
-
-/// Runs a [`SyncAlgorithm`] under a [`FaultPlan`], degrading instead of
-/// panicking.
-///
-/// Crash-stopped and panicked nodes freeze: they re-emit their last
-/// outbox as a beacon, never receive, and count as done. A node whose
-/// inbox is missing a message (a neighbor died before ever sending)
-/// skips its receive for that round. Exhausting `max_rounds` records
-/// one fault per unfinished node and returns the partial output.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_sync_with(..., RunOptions::new().faults(plan).events(log))`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_sync_faulted<A: SyncAlgorithm>(
-    alg: &A,
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &[u64],
-    n_announced: Option<usize>,
-    max_rounds: u32,
-    plan: &FaultPlan,
-    log: Option<&EventLog>,
-) -> RunReport<Degraded<SyncRun>> {
-    simulate_sync_faulted_impl(alg, graph, input, ids, n_announced, max_rounds, plan, log)
 }
 
 #[allow(clippy::too_many_arguments)]

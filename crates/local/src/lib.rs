@@ -18,10 +18,11 @@
 //!   order-invariance checker used by the speed-up theorems.
 //! * [`estimate_local_failure`] — Monte-Carlo estimation of the *local
 //!   failure probability* (Definition 2.4) of a randomized algorithm.
-//! * [`simulate_faulted`] / [`simulate_sync_faulted`] — the same
-//!   executors under a deterministic fault plan (crash-stops, corrupted
-//!   views, adversarial ID permutations, injected panics), degrading to
-//!   typed per-node fault records instead of aborting.
+//! * [`simulate_with`] / [`simulate_sync_with`] — the same executors
+//!   under [`RunOptions`](lcl_faults::RunOptions); a deterministic fault
+//!   plan (crash-stops, corrupted views, adversarial ID permutations,
+//!   injected panics) degrades them to typed per-node fault records
+//!   instead of aborting.
 //!
 //! # Examples
 //!
@@ -54,8 +55,6 @@ pub mod view;
 
 pub use algorithm::{FnAlgorithm, LocalAlgorithm};
 pub use congest::{run_congest, CongestRun, MessageBits};
-#[allow(deprecated)]
-pub use faulted::{simulate_faulted, simulate_sync_faulted};
 pub use ids::IdAssignment;
 pub use measure::minimal_solving_radius;
 pub use order_invariant::{
@@ -65,9 +64,5 @@ pub use run::{
     estimate_local_failure, estimate_local_failure_parallel, run_deterministic, run_randomized,
     simulate_randomized_with, simulate_with, FailureEstimate, LocalRun,
 };
-#[allow(deprecated)]
-pub use run::{simulate, simulate_logged, simulate_randomized, simulate_randomized_logged};
 pub use sync::{run_sync, run_sync_with, simulate_sync_with, NodeInit, SyncAlgorithm, SyncRun};
-#[allow(deprecated)]
-pub use sync::{simulate_sync, simulate_sync_logged};
 pub use view::View;

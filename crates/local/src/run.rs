@@ -112,36 +112,6 @@ pub fn simulate_with(
     }
 }
 
-/// This is the instrumented entrypoint behind the facade's `Simulation`
-/// trait; [`run_deterministic`] forwards here and discards the trace.
-#[deprecated(since = "0.1.0", note = "use `simulate_with(..., RunOptions::new())`")]
-pub fn simulate(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-) -> RunReport<LocalRun> {
-    simulate_impl(alg, graph, input, ids, n_announced, None)
-}
-
-/// Like [`simulate`], with every view materialization recorded as an
-/// [`Event::ViewMaterialized`] into the given [`EventLog`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_logged(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> RunReport<LocalRun> {
-    simulate_impl(alg, graph, input, ids, n_announced, log)
-}
-
 pub(crate) fn simulate_impl(
     alg: &(impl LocalAlgorithm + ?Sized),
     graph: &Graph,
@@ -197,41 +167,6 @@ pub fn simulate_randomized_with(
     simulate_randomized_impl(alg, graph, input, seed, n_announced, opts.event_log())
 }
 
-/// This is the instrumented entrypoint behind the facade's `Simulation`
-/// trait; [`run_randomized`] forwards here and discards the trace.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_randomized_with(..., RunOptions::new())`"
-)]
-pub fn simulate_randomized(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    seed: u64,
-    n_announced: Option<usize>,
-) -> RunReport<LocalRun> {
-    simulate_randomized_impl(alg, graph, input, seed, n_announced, None)
-}
-
-/// Like [`simulate_randomized`], with every view materialization recorded
-/// as an [`Event::ViewMaterialized`] into the given [`EventLog`]. Since
-/// randomized algorithms see no identifiers, the event's `node` field is
-/// the node's index in the graph.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_randomized_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_randomized_logged(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    seed: u64,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> RunReport<LocalRun> {
-    simulate_randomized_impl(alg, graph, input, seed, n_announced, log)
-}
-
 fn simulate_randomized_impl(
     alg: &(impl LocalAlgorithm + ?Sized),
     graph: &Graph,
@@ -270,8 +205,9 @@ fn simulate_randomized_impl(
 
 /// Runs a deterministic LOCAL algorithm, discarding the trace.
 ///
-/// Note: superseded by [`simulate`], which additionally reports the
-/// execution trace; this thin wrapper remains for source compatibility.
+/// Note: superseded by [`simulate_with`], which additionally reports
+/// the execution trace; this thin wrapper remains for source
+/// compatibility.
 pub fn run_deterministic(
     alg: &(impl LocalAlgorithm + ?Sized),
     graph: &Graph,
@@ -284,7 +220,7 @@ pub fn run_deterministic(
 
 /// Runs a randomized LOCAL algorithm, discarding the trace.
 ///
-/// Note: superseded by [`simulate_randomized`], which additionally
+/// Note: superseded by [`simulate_randomized_with`], which additionally
 /// reports the execution trace; this thin wrapper remains for source
 /// compatibility.
 pub fn run_randomized(

@@ -9,7 +9,7 @@
 //! message passing reveal at most the radius-`T` view.
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
-use lcl_faults::{Degraded, FaultPlan};
+use lcl_faults::{Degraded, FaultPlan, NodeFault};
 use lcl_graph::{Graph, NodeId};
 use lcl_obs::{Counter, Event, EventLog, RunReport, Span, Trace};
 
@@ -94,30 +94,6 @@ pub fn run_sync<A: SyncAlgorithm>(
     run_sync_with(alg, graph, input, ids, n_announced, max_rounds, |_| {})
 }
 
-/// Runs a [`SyncAlgorithm`] to completion and reports the execution
-/// trace: rounds used, messages sent, and the instance shape.
-///
-/// This is the instrumented entrypoint behind the facade's `Simulation`
-/// trait; [`run_sync`] is the trace-free variant.
-///
-/// # Panics
-///
-/// As [`run_sync`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_sync_with(..., RunOptions::new())`"
-)]
-pub fn simulate_sync<A: SyncAlgorithm>(
-    alg: &A,
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &[u64],
-    n_announced: Option<usize>,
-    max_rounds: u32,
-) -> RunReport<SyncRun> {
-    simulate_sync_impl(alg, graph, input, ids, n_announced, max_rounds, None)
-}
-
 /// Runs a [`SyncAlgorithm`] under [`RunOptions`](lcl_faults::RunOptions).
 ///
 /// Dispatch over the option axes:
@@ -128,17 +104,21 @@ pub fn simulate_sync<A: SyncAlgorithm>(
 /// * a **budget** with `max_rounds` lowers the round cap to
 ///   `min(max_rounds, budget.max_rounds)` and likewise routes through
 ///   the degrading executor, so a budget breach is a typed `no-halt`
-///   degradation instead of the plain executor's panic;
+///   degradation;
 /// * **events** stream round boundaries (and faults, where they apply)
 ///   into the log on every path.
 ///
 /// Without faults or a round budget, the run is the plain instrumented
-/// executor and the outcome is [`Degraded::clean`].
+/// executor. A halting run is [`Degraded::clean`]; one that exhausts
+/// `max_rounds` records one `"no-halt"` fault per unfinished node, the
+/// same outcome and fault list as the run under
+/// `Budget::unlimited().with_max_rounds(max_rounds)`.
 ///
 /// # Panics
 ///
-/// Only on the plain path (no fault plan, no round budget), as
-/// [`run_sync`]: the algorithm must halt within `max_rounds`.
+/// Only on the plain path (no fault plan, no round budget), if the
+/// algorithm itself panics or sends or labels the wrong number of
+/// ports; a fault plan isolates those per node.
 pub fn simulate_sync_with<A: SyncAlgorithm>(
     alg: &A,
     graph: &Graph,
@@ -184,32 +164,8 @@ pub fn simulate_sync_with<A: SyncAlgorithm>(
             n_announced,
             effective,
             opts.event_log(),
-        )
-        .map(Degraded::clean),
+        ),
     }
-}
-
-/// Like [`simulate_sync`], with round boundaries recorded into an
-/// [`EventLog`]: an [`Event::RoundStart`] before each send phase and an
-/// [`Event::RoundEnd`] (with the round's message count) after delivery.
-///
-/// # Panics
-///
-/// As [`run_sync`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_sync_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_sync_logged<A: SyncAlgorithm>(
-    alg: &A,
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &[u64],
-    n_announced: Option<usize>,
-    max_rounds: u32,
-    log: Option<&EventLog>,
-) -> RunReport<SyncRun> {
-    simulate_sync_impl(alg, graph, input, ids, n_announced, max_rounds, log)
 }
 
 pub(crate) fn simulate_sync_impl<A: SyncAlgorithm>(
@@ -220,10 +176,10 @@ pub(crate) fn simulate_sync_impl<A: SyncAlgorithm>(
     n_announced: Option<usize>,
     max_rounds: u32,
     log: Option<&EventLog>,
-) -> RunReport<SyncRun> {
+) -> RunReport<Degraded<SyncRun>> {
     let mut span = Span::start(format!("local/sync/{}", alg.name()));
     let mut messages = 0u64;
-    let run = run_sync_core(
+    let (run, faults) = run_sync_core(
         alg,
         graph,
         input,
@@ -234,12 +190,20 @@ pub(crate) fn simulate_sync_impl<A: SyncAlgorithm>(
             messages += 1;
         },
         log,
+        true,
     );
     span.set(Counter::Nodes, graph.node_count() as u64);
     span.set(Counter::Edges, graph.edge_count() as u64);
     span.set(Counter::Rounds, u64::from(run.rounds));
     span.set(Counter::Messages, messages);
-    RunReport::new(run, Trace::new(span.finish()))
+    if !faults.is_empty() {
+        span.set(Counter::Faults, faults.len() as u64);
+    }
+    let degraded = Degraded {
+        outcome: run,
+        faults,
+    };
+    RunReport::new(degraded, Trace::new(span.finish()))
 }
 
 /// Like [`run_sync`], additionally invoking `observe` on every message
@@ -267,9 +231,15 @@ pub fn run_sync_with<A: SyncAlgorithm>(
         max_rounds,
         observe,
         None,
+        false,
     )
+    .0
 }
 
+/// The plain synchronous loop. Exhausting `max_rounds` panics unless
+/// `degrade` is set, in which case every unfinished node gets one
+/// `"no-halt"` fault (mirrored into `log`) and the run still produces
+/// its output.
 #[allow(clippy::too_many_arguments)]
 fn run_sync_core<A: SyncAlgorithm>(
     alg: &A,
@@ -280,7 +250,8 @@ fn run_sync_core<A: SyncAlgorithm>(
     max_rounds: u32,
     mut observe: impl FnMut(&A::Msg),
     log: Option<&EventLog>,
-) -> SyncRun {
+    degrade: bool,
+) -> (SyncRun, Vec<NodeFault>) {
     assert_eq!(ids.len(), graph.node_count(), "ids cover the graph");
     let n = n_announced.unwrap_or_else(|| graph.node_count());
 
@@ -297,16 +268,21 @@ fn run_sync_core<A: SyncAlgorithm>(
         })
         .collect();
 
+    let mut faults = Vec::new();
     let mut rounds = 0u32;
     loop {
         if states.iter().all(|s| alg.is_done(s)) {
             break;
         }
-        assert!(
-            rounds < max_rounds,
-            "algorithm {} did not halt within {max_rounds} rounds",
-            alg.name()
-        );
+        if rounds >= max_rounds {
+            assert!(
+                degrade,
+                "algorithm {} did not halt within {max_rounds} rounds",
+                alg.name()
+            );
+            faults = no_halt_faults(alg, &states, rounds, max_rounds, log);
+            break;
+        }
         if let Some(log) = log {
             log.record(Event::RoundStart {
                 round: u64::from(rounds),
@@ -361,7 +337,37 @@ fn run_sync_core<A: SyncAlgorithm>(
         );
         out
     });
-    SyncRun { output, rounds }
+    (SyncRun { output, rounds }, faults)
+}
+
+/// One `"no-halt"` fault per unfinished node, in node order, each
+/// mirrored into `log`.
+#[cold]
+fn no_halt_faults<A: SyncAlgorithm>(
+    alg: &A,
+    states: &[A::State],
+    rounds: u32,
+    max_rounds: u32,
+    log: Option<&EventLog>,
+) -> Vec<NodeFault> {
+    let round = u64::from(rounds);
+    let mut faults = Vec::new();
+    for (i, _) in states.iter().enumerate().filter(|(_, s)| !alg.is_done(s)) {
+        let node = i as u64;
+        if let Some(log) = log {
+            log.record(Event::Fault {
+                node,
+                round,
+                fault: "no-halt",
+            });
+        }
+        faults.push(NodeFault {
+            node,
+            round,
+            payload: format!("did not halt within {max_rounds} rounds"),
+        });
+    }
+    faults
 }
 
 #[cfg(test)]
@@ -460,7 +466,7 @@ mod tests {
         let input = lcl::uniform_input(&g);
         let ids: Vec<u64> = (0..8).collect();
         let report = simulate_sync_impl(&FloodMax { k: 3 }, &g, &input, &ids, None, 100, None);
-        assert_eq!(report.outcome.rounds, 3);
+        assert_eq!(report.outcome.outcome.rounds, 3);
         assert_eq!(report.trace.total(Counter::Rounds), 3);
         // 8-path: 14 port messages per round, 3 rounds.
         assert_eq!(report.trace.total(Counter::Messages), 42);
@@ -475,7 +481,7 @@ mod tests {
         let log = EventLog::new(64);
         let report =
             simulate_sync_impl(&FloodMax { k: 3 }, &g, &input, &ids, None, 100, Some(&log));
-        assert_eq!(report.outcome.rounds, 3);
+        assert_eq!(report.outcome.outcome.rounds, 3);
         let events = log.events();
         assert_eq!(events.len(), 6); // start + end per round
         assert_eq!(events[0], Event::RoundStart { round: 0 });
@@ -521,6 +527,71 @@ mod tests {
         );
         assert_eq!(cost.get(CostKind::Round), 3);
         assert_eq!(cost.get(CostKind::Message), 42);
+    }
+
+    /// The plain path (no plan, no budget) degrades a non-halting run
+    /// exactly as the round-budgeted path does, and leaves halting
+    /// runs' traces as they were.
+    #[test]
+    fn plain_no_halt_is_the_typed_budget_degradation() {
+        use lcl_faults::{Budget, RunOptions};
+        use std::collections::BTreeSet;
+
+        let g = gen::path(3);
+        let input = lcl::uniform_input(&g);
+        let ids: Vec<u64> = (0..3).collect();
+        let runaway = FloodMax { k: 1000 };
+        let (plain_log, budget_log) = (EventLog::new(64), EventLog::new(64));
+        let plain = simulate_sync_with(
+            &runaway,
+            &g,
+            &input,
+            &ids,
+            None,
+            5,
+            RunOptions::new().events(&plain_log),
+        );
+        let budgeted = simulate_sync_with(
+            &runaway,
+            &g,
+            &input,
+            &ids,
+            None,
+            5,
+            RunOptions::new()
+                .events(&budget_log)
+                .budget(Budget::unlimited().with_max_rounds(5)),
+        );
+        assert_eq!(plain.outcome, budgeted.outcome);
+        assert_eq!(plain_log.events(), budget_log.events());
+        assert_eq!(plain.outcome.faults.len(), 3);
+        assert!(plain
+            .outcome
+            .faults
+            .iter()
+            .all(|f| f.payload == "did not halt within 5 rounds" && f.round == 5));
+        assert_eq!(plain.trace.total(Counter::Faults), 3);
+
+        let halting = simulate_sync_with(
+            &FloodMax { k: 2 },
+            &g,
+            &input,
+            &ids,
+            None,
+            5,
+            RunOptions::new(),
+        );
+        assert!(!halting.outcome.is_degraded());
+        let root = halting.trace.root();
+        assert_eq!(root.name(), "local/sync/flood-max");
+        let counters: BTreeSet<Counter> = root.counters().map(|(c, _)| c).collect();
+        let expected = [
+            Counter::Rounds,
+            Counter::Messages,
+            Counter::Nodes,
+            Counter::Edges,
+        ];
+        assert_eq!(counters, BTreeSet::from(expected));
     }
 
     #[test]

@@ -81,11 +81,12 @@ use std::sync::Arc;
 /// The uniform result of an instrumented simulator run: the
 /// model-specific outcome plus the execution trace.
 ///
-/// Every model entrypoint (`local::simulate`, `volume::simulate`,
-/// `volume::simulate_lca`, `grid::simulate`) returns one of these, and
-/// the facade's `Simulation` trait abstracts over them. When the run
-/// was event-logged (the `*_logged` entrypoints), the log rides along
-/// and [`RunReport::events`] exposes it.
+/// Every model entrypoint (`local::simulate_with`,
+/// `volume::simulate_with`, `volume::simulate_lca_with`,
+/// `grid::simulate_with`) returns one of these, and the facade's
+/// `Simulation` trait abstracts over them. When the run was
+/// event-logged, the log rides along and [`RunReport::events`] exposes
+/// it.
 #[derive(Clone, Debug)]
 pub struct RunReport<T> {
     /// The model-specific run result (labeling, rounds, probes, ...).

@@ -7,7 +7,7 @@
 //! in-process coordinator — begin, compute, deliver, finish, output —
 //! broadcasting each command to every worker and collecting replies in
 //! shard order, which reconstructs the exact global fault and event
-//! order of the mpsc substrate. Halo batches travel through the
+//! order of the in-process executor. Halo batches travel through the
 //! supervisor as opaque strings: it never decodes a message payload,
 //! so it is not generic over the algorithm.
 //!

@@ -21,7 +21,6 @@
 //! layout, so the supervisor concatenates the shards' lists, in shard
 //! order, into the whole labeling.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
 use lcl_faults::NodeFault;
@@ -29,6 +28,7 @@ use lcl_graph::gen;
 use lcl_obs::Event;
 use lcl_service::protocol::{escape_into, parse_flat_object, Scalar};
 use lcl_service::push_str_field;
+use lcl_shard::HaloBatches;
 
 use crate::spec::{AlgSpec, GraphSpec, InputSpec};
 
@@ -186,10 +186,6 @@ impl WireMsg for (u64, u32) {
     }
 }
 
-/// Halo batches keyed by peer shard: each entry is `(peer, payload)`
-/// where a `None` payload slot is a mute (unsent) halo position.
-pub type HaloBatches<M> = Vec<(usize, Vec<Option<M>>)>;
-
 /// Encodes halo batches as `peer>e1,e2,..|peer>..`; `_` is a mute
 /// (`None`) entry. `peer` is the destination shard in a `computed`
 /// reply and the source shard in a `deliver` command.
@@ -246,11 +242,6 @@ pub fn decode_batches<M: WireMsg>(text: &str) -> Result<HaloBatches<M>, String> 
         batches.push((peer, entries));
     }
     Ok(batches)
-}
-
-/// Re-keys decoded batches by peer for inbox assembly.
-pub fn batches_to_inbox<M: WireMsg>(batches: HaloBatches<M>) -> BTreeMap<usize, Vec<Option<M>>> {
-    batches.into_iter().collect()
 }
 
 /// Encodes a drained fault buffer. The payload is the entry's last
@@ -590,7 +581,7 @@ impl InitCmd {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lcl_rng::SmallRng;
 
@@ -685,7 +676,7 @@ mod tests {
 
     /// Applies 1-4 seeded byte-level mutations (overwrite, insert from
     /// `alphabet`, delete, duplicate the tail) to `text`.
-    fn mutate(text: &str, rng: &mut SmallRng, alphabet: &[u8]) -> String {
+    pub(crate) fn mutate(text: &str, rng: &mut SmallRng, alphabet: &[u8]) -> String {
         let mut bytes = text.as_bytes().to_vec();
         for _ in 0..1 + (rng.next_u64() % 4) {
             match rng.next_u64() % 4 {

@@ -5,11 +5,14 @@
 //! into contiguous shards, each shard is stepped as its own fault
 //! domain ([`ShardDomain`]: private fault plan, budget, cancel token,
 //! and event stream), and LOCAL rounds execute as boundary-exchange
-//! supersteps over `std::sync::mpsc` channels. The executor
-//! ([`simulate_sharded_with`]) is bit-identical to the single-image
-//! faulted executor for every plan without whole-shard losses —
-//! outcome, fault list, and event-log cost model all agree across
-//! every shard count and runner thread count.
+//! supersteps. Every phase of a superstep is defined once, in
+//! [`ShardStepper`]; the in-process executor ([`simulate_sharded_with`])
+//! and the process-per-shard worker (`lcl_procshard`) both drive it
+//! and differ only in how halo batches travel. The in-process executor
+//! is bit-identical to the single-image faulted executor for every
+//! plan without whole-shard losses — outcome, fault list, and
+//! event-log cost model all agree across every shard count and runner
+//! thread count.
 //!
 //! On top of the substrate, whole-shard loss is a first-class fault:
 //! `Fault::ShardCrash` kills a shard mid-superstep, the shard is
@@ -28,8 +31,10 @@ pub mod domain;
 pub mod recovery;
 pub mod run;
 pub mod snapshot;
+pub mod step;
 
 pub use domain::{ShardDomain, SHARD_EVENT_CAPACITY};
 pub use recovery::repair_sharded;
 pub use run::simulate_sharded_with;
 pub use snapshot::{ShardSnapshot, ShardSnapshotError, SHARD_SNAPSHOT_VERSION};
+pub use step::{HaloBatches, ShardStepper};

@@ -1,7 +1,7 @@
 //! Fault-injected VOLUME/LCA execution with graceful degradation.
 //!
-//! The opt-in counterparts of [`simulate`](crate::simulate) and
-//! [`simulate_lca`](crate::simulate_lca): a [`FaultPlan`] is applied
+//! The fault-plan paths of [`simulate_with`](crate::simulate_with) and
+//! [`simulate_lca_with`](crate::simulate_lca_with): a [`FaultPlan`] is applied
 //! deterministically, each query's `answer` invocation runs
 //! panic-isolated, and every fault becomes a typed [`NodeFault`] record
 //! plus an [`lcl_obs::Event::Fault`] in the event log.
@@ -128,27 +128,6 @@ where
     }
 }
 
-/// Runs a VOLUME algorithm under a [`FaultPlan`], degrading instead of
-/// failing: crashed queries, panics, and probe errors each cost only
-/// that query (placeholder labels plus a [`NodeFault`]); probe lies and
-/// corrupted `t_v` views silently skew the answers, which the verifier
-/// then localizes. The plan's ID permutation (if any) applies first.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_with(..., RunOptions::new().faults(plan).events(log))`"
-)]
-pub fn simulate_faulted(
-    alg: &(impl VolumeAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-    plan: &FaultPlan,
-    log: Option<&EventLog>,
-) -> RunReport<Degraded<VolumeRun>> {
-    simulate_faulted_impl(alg, graph, input, ids, n_announced, plan, log)
-}
-
 pub(crate) fn simulate_faulted_impl(
     alg: &(impl VolumeAlgorithm + ?Sized),
     graph: &Graph,
@@ -210,30 +189,6 @@ pub(crate) fn simulate_faulted_impl(
         faults,
     };
     RunReport::new(degraded, Trace::new(span.finish()))
-}
-
-/// Runs an LCA under a [`FaultPlan`] with the same degradation semantics
-/// as [`simulate_faulted`]; far probes are unaffected by probe lies
-/// (the lie corrupts the adaptive near-probe transcript).
-///
-/// # Panics
-///
-/// Panics unless `ids` is a permutation of `1..=n` (the LCA identifier
-/// promise); a plan's ID permutation preserves that multiset, so
-/// permuted runs remain valid LCA instances.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_lca_with(..., RunOptions::new().faults(plan).events(log))`"
-)]
-pub fn simulate_lca_faulted(
-    alg: &(impl LcaAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    plan: &FaultPlan,
-    log: Option<&EventLog>,
-) -> RunReport<Degraded<VolumeRun>> {
-    simulate_lca_faulted_impl(alg, graph, input, ids, plan, log)
 }
 
 pub(crate) fn simulate_lca_faulted_impl(

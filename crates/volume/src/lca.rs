@@ -90,34 +90,6 @@ pub trait LcaAlgorithm {
     }
 }
 
-/// Runs an LCA over every node of the graph, reporting the execution
-/// trace: total and worst-case probes, the far probes counted separately
-/// (Theorem 2.12's distinction), a per-query probe histogram, and the
-/// instance shape. With `log` set, near probes are recorded as
-/// [`lcl_obs::Event::Probe`]s.
-///
-/// # Errors
-///
-/// Returns the first [`ProbeError`] any query runs into.
-///
-/// # Panics
-///
-/// Panics unless `ids` is a permutation of `0..n` shifted by one
-/// (`1..=n`), which is the LCA model's identifier promise.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_lca_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_lca_logged(
-    alg: &(impl LcaAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    log: Option<&EventLog>,
-) -> Result<RunReport<crate::run::VolumeRun>, ProbeError> {
-    simulate_lca_impl(alg, graph, input, ids, log)
-}
-
 /// Runs an LCA under [`RunOptions`](lcl_faults::RunOptions): optional
 /// event capture, optional fault plan. With a fault plan the run is the
 /// degrading executor of [`crate::faulted`] (per-query degradation, the
@@ -129,11 +101,13 @@ pub fn simulate_lca_logged(
 ///
 /// # Errors
 ///
-/// As [`simulate_lca_logged`], on the plan-free path only.
+/// On the plan-free path only: the first [`ProbeError`] any query runs
+/// into.
 ///
 /// # Panics
 ///
-/// As [`simulate_lca_logged`]: `ids` must be exactly `1..=n`.
+/// Panics unless `ids` is a permutation of `0..n` shifted by one
+/// (`1..=n`), which is the LCA model's identifier promise.
 pub fn simulate_lca_with(
     alg: &(impl LcaAlgorithm + ?Sized),
     graph: &Graph,
@@ -220,34 +194,15 @@ pub(crate) fn simulate_lca_impl(
     Ok(RunReport::new(run, Trace::new(span.finish())))
 }
 
-/// [`simulate_lca_logged`] without an event log — the instrumented
-/// entrypoint behind the facade's `Simulation` trait; [`run_lca`]
-/// forwards here and discards the trace.
-///
-/// # Errors
-///
-/// As [`simulate_lca_logged`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_lca_with(..., RunOptions::new())`"
-)]
-pub fn simulate_lca(
-    alg: &(impl LcaAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-) -> Result<RunReport<crate::run::VolumeRun>, ProbeError> {
-    simulate_lca_impl(alg, graph, input, ids, None)
-}
-
 /// Runs an LCA over every node of the graph, discarding the trace.
 ///
-/// Note: superseded by [`simulate_lca`], which additionally reports the
-/// execution trace; this thin wrapper remains for source compatibility.
+/// Note: superseded by [`simulate_lca_with`], which additionally
+/// reports the execution trace; this thin wrapper remains for source
+/// compatibility.
 ///
 /// # Errors
 ///
-/// As [`simulate_lca_logged`].
+/// The first [`ProbeError`] any query runs into.
 pub fn run_lca(
     alg: &(impl LcaAlgorithm + ?Sized),
     graph: &Graph,

@@ -54,12 +54,6 @@ pub mod order_invariant;
 pub mod run;
 
 pub use algorithm::{FnVolumeAlgorithm, NodeInfo, ProbeError, ProbeSession, VolumeAlgorithm};
-#[allow(deprecated)]
-pub use faulted::{simulate_faulted, simulate_lca_faulted};
 pub use lca::{run_lca, simulate_lca_with, LcaAlgorithm, LcaSession};
-#[allow(deprecated)]
-pub use lca::{simulate_lca, simulate_lca_logged};
 pub use order_invariant::{is_empirically_order_invariant_volume, RankedInfo, RankedSession};
 pub use run::{minimal_probe_budget, run_volume, simulate_with, VolumeRun};
-#[allow(deprecated)]
-pub use run::{simulate, simulate_logged};

@@ -21,38 +21,6 @@ pub struct VolumeRun {
     pub total_probes: usize,
 }
 
-/// Runs a VOLUME algorithm by querying every node (each query gets a fresh
-/// session, as in the model: queries do not share state), reporting the
-/// execution trace: total and worst-case probes (plus a per-query probe
-/// histogram) and the instance shape. With `log` set, every probe is
-/// recorded as an [`lcl_obs::Event::Probe`].
-///
-/// # Errors
-///
-/// Returns the first [`ProbeError`] an over-eager query runs into —
-/// budget exhaustion, undiscovered targets, nonexistent ports.
-///
-/// # Panics
-///
-/// Panics if the graph contains an isolated node (excluded by
-/// Definition 2.9) or the algorithm mislabels the queried node's arity —
-/// both are instance/algorithm contract violations, not runtime
-/// conditions an algorithm can trigger adaptively.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate_with(..., RunOptions::new().events(log))`"
-)]
-pub fn simulate_logged(
-    alg: &(impl VolumeAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> Result<RunReport<VolumeRun>, ProbeError> {
-    simulate_impl(alg, graph, input, ids, n_announced, log)
-}
-
 /// Runs a VOLUME algorithm under [`RunOptions`]: optional event capture,
 /// optional fault plan. With a fault plan the run is the degrading
 /// executor of [`crate::faulted`] — probe errors cost only their query —
@@ -64,7 +32,16 @@ pub fn simulate_logged(
 ///
 /// # Errors
 ///
-/// As [`simulate_logged`], on the plan-free path only.
+/// On the plan-free path only: the first [`ProbeError`] an over-eager
+/// query runs into — budget exhaustion, undiscovered targets,
+/// nonexistent ports.
+///
+/// # Panics
+///
+/// Panics if the graph contains an isolated node (excluded by
+/// Definition 2.9) or the algorithm mislabels the queried node's arity —
+/// both are instance/algorithm contract violations, not runtime
+/// conditions an algorithm can trigger adaptively.
 pub fn simulate_with(
     alg: &(impl VolumeAlgorithm + ?Sized),
     graph: &Graph,
@@ -150,32 +127,15 @@ pub(crate) fn simulate_impl(
     Ok(RunReport::new(run, Trace::new(span.finish())))
 }
 
-/// [`simulate_logged`] without an event log — the instrumented
-/// entrypoint behind the facade's `Simulation` trait; [`run_volume`]
-/// forwards here and discards the trace.
-///
-/// # Errors
-///
-/// As [`simulate_logged`].
-#[deprecated(since = "0.1.0", note = "use `simulate_with(..., RunOptions::new())`")]
-pub fn simulate(
-    alg: &(impl VolumeAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-) -> Result<RunReport<VolumeRun>, ProbeError> {
-    simulate_impl(alg, graph, input, ids, n_announced, None)
-}
-
 /// Runs a VOLUME algorithm over every node, discarding the trace.
 ///
-/// Note: superseded by [`simulate`], which additionally reports the
-/// execution trace; this thin wrapper remains for source compatibility.
+/// Note: superseded by [`simulate_with`], which additionally reports
+/// the execution trace; this thin wrapper remains for source
+/// compatibility.
 ///
 /// # Errors
 ///
-/// As [`simulate_logged`].
+/// As [`simulate_with`].
 pub fn run_volume(
     alg: &(impl VolumeAlgorithm + ?Sized),
     graph: &Graph,

@@ -122,21 +122,4 @@ if [ "$INSTANTS" -gt 0 ]; then
   exit 1
 fi
 
-echo "== deprecated simulate_* gate (new code goes through simulate_with) =="
-# The pre-RunOptions entrypoints (simulate_logged, simulate_faulted,
-# simulate_lca*, ...) are #[deprecated] forwarders: clippy -D warnings
-# already rejects *compiled* calls, and this textual gate additionally
-# keeps examples/docs/scripts from teaching them. Only the files that
-# define/re-export the forwarders may mention the names.
-DEPRECATED=$(find crates/*/src src -name '*.rs' 2>/dev/null | sort \
-  | grep -v -E 'crates/(local|volume|grid)/src/(run|sync|lca|faulted|lib)\.rs' \
-  | xargs grep -n -E \
-      '\bsimulate_(logged|faulted|sync_logged|sync|lca_faulted|lca_logged|lca|prod_logged|prod_faulted|randomized_logged|randomized)\(' \
-  | grep -v 'simulate_with' || true)
-if [ -n "$DEPRECATED" ]; then
-  echo "deprecated simulate_* entrypoints referenced outside their forwarder files:"
-  echo "$DEPRECATED"
-  exit 1
-fi
-
 echo "all checks passed"

@@ -216,7 +216,7 @@ where
 }
 
 /// The LOCAL model (Definition 2.1): radius-`T(n)` views, measured in
-/// rounds. Drives [`lcl_local::simulate`].
+/// rounds. Drives [`lcl_local::simulate_with`].
 pub struct LocalSim;
 
 impl Simulation for LocalSim {
@@ -245,7 +245,7 @@ impl Simulation for LocalSim {
 }
 
 /// The VOLUME model (Definition 2.9): adaptive probes against a budget.
-/// Drives [`lcl_volume::simulate`].
+/// Drives [`lcl_volume::simulate_with`].
 pub struct VolumeSim;
 
 impl Simulation for VolumeSim {
@@ -275,7 +275,7 @@ impl Simulation for VolumeSim {
 
 /// The LCA variant of VOLUME: identifiers are promised to be `1..=n` and
 /// far (non-adjacent) probes are available and counted separately. Drives
-/// [`lcl_volume::simulate_lca`]. The announced node count is ignored —
+/// [`lcl_volume::simulate_lca_with`]. The announced node count is ignored —
 /// the LCA promise fixes `n`.
 pub struct LcaSim;
 
@@ -304,7 +304,7 @@ impl Simulation for LcaSim {
 }
 
 /// The PROD-LOCAL model on oriented grids (Section 6): box views with
-/// per-dimension coordinate identifiers. Drives [`lcl_grid::simulate`].
+/// per-dimension coordinate identifiers. Drives [`lcl_grid::simulate_with`].
 pub struct ProdLocalSim;
 
 impl Simulation for ProdLocalSim {
