@@ -25,7 +25,7 @@
 use std::process::ExitCode;
 
 use lcl_bench::diff::{check_schema, detect_schema, diff, DiffOptions};
-use lcl_bench::json::{parse, JsonValue};
+use lcl_obs::json::{parse, Value};
 
 struct Args {
     baseline: String,
@@ -125,15 +125,16 @@ fn parse_args() -> Result<Args, ExitCode> {
     })
 }
 
-fn load(path: &str) -> Result<JsonValue, ExitCode> {
-    let text = match std::fs::read_to_string(path) {
+/// Reads `path` into `text` and parses it; the document borrows `text`.
+fn load<'t>(path: &str, text: &'t mut String) -> Result<Value<'t>, ExitCode> {
+    *text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("bench-diff: cannot read {path}: {e}");
             return Err(ExitCode::from(2));
         }
     };
-    match parse(&text) {
+    match parse(text) {
         Ok(doc) => Ok(doc),
         Err(e) => {
             eprintln!("bench-diff: {path}: {e}");
@@ -147,7 +148,8 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(code) => return code,
     };
-    let baseline = match load(&args.baseline) {
+    let mut baseline_text = String::new();
+    let baseline = match load(&args.baseline, &mut baseline_text) {
         Ok(doc) => doc,
         Err(code) => return code,
     };
@@ -170,7 +172,8 @@ fn main() -> ExitCode {
     }
 
     let candidate_path = args.candidate.as_deref().unwrap_or(&args.baseline);
-    let candidate = match load(candidate_path) {
+    let mut candidate_text = String::new();
+    let candidate = match load(candidate_path, &mut candidate_text) {
         Ok(doc) => doc,
         Err(code) => return code,
     };

@@ -498,7 +498,7 @@ mod tests {
         // The schema carries no wall keys: machine noise cannot reach
         // the curves gate.
         assert!(!json.contains("wall"));
-        let parsed = crate::json::parse(&json).expect("well-formed");
+        let parsed = lcl_obs::json::parse(&json).expect("well-formed");
         assert!(parsed.get("panels").is_some());
     }
 }

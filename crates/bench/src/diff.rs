@@ -1,6 +1,6 @@
 //! Baseline diffing for the perf-regression gate.
 //!
-//! [`diff`] walks two parsed baseline documents (see [`crate::json`])
+//! [`diff`] walks two parsed baseline documents (see [`lcl_obs::json`])
 //! and classifies every divergence:
 //!
 //! * **Counters and structure are exact.** Numbers compare by raw source
@@ -39,7 +39,7 @@
 
 use std::fmt;
 
-use crate::json::JsonValue;
+use lcl_obs::json::Value;
 
 /// Keys holding wall-clock measurements (or rates derived from them):
 /// compared within tolerance.
@@ -140,7 +140,7 @@ impl DiffReport {
 }
 
 /// Diffs `new` against `base` under the gate's rules (see module docs).
-pub fn diff(base: &JsonValue, new: &JsonValue, opts: DiffOptions) -> DiffReport {
+pub fn diff(base: &Value, new: &Value, opts: DiffOptions) -> DiffReport {
     let mut report = DiffReport::default();
     walk(base, new, "", "", opts, &mut report);
     gate_speedups(new, opts, &mut report);
@@ -151,12 +151,13 @@ pub fn diff(base: &JsonValue, new: &JsonValue, opts: DiffOptions) -> DiffReport 
 /// Enforces the `r2` floor over the candidate document: every object
 /// carrying both `fitted_class` and [`R2_KEY`] (a curves panel) must
 /// keep its fit quality at or above [`DiffOptions::r2_floor`].
-fn gate_r2(new: &JsonValue, path: &str, opts: DiffOptions, report: &mut DiffReport) {
+fn gate_r2(new: &Value, path: &str, opts: DiffOptions, report: &mut DiffReport) {
     match new {
-        JsonValue::Obj(entries) => {
-            if let (Some(JsonValue::Str(class)), Some(r2)) =
-                (new.get("fitted_class"), new.get(R2_KEY).and_then(parse_num))
-            {
+        Value::Obj(entries) => {
+            if let (Some(Value::Str(class)), Some(r2)) = (
+                new.get("fitted_class"),
+                new.get(R2_KEY).and_then(Value::as_f64),
+            ) {
                 if r2 < opts.r2_floor {
                     report.regressions.push(Finding {
                         path: display_path(&join(path, R2_KEY)),
@@ -171,7 +172,7 @@ fn gate_r2(new: &JsonValue, path: &str, opts: DiffOptions, report: &mut DiffRepo
                 gate_r2(v, &join(path, k), opts, report);
             }
         }
-        JsonValue::Arr(items) => {
+        Value::Arr(items) => {
             for (i, v) in items.iter().enumerate() {
                 gate_r2(v, &format!("{path}[{i}]"), opts, report);
             }
@@ -183,10 +184,10 @@ fn gate_r2(new: &JsonValue, path: &str, opts: DiffOptions, report: &mut DiffRepo
 /// Enforces the `par_speedup` floor over the candidate document: every
 /// object holding both [`SPEEDUP_KEY`] and `seq_wall_ms` is checked
 /// (see module docs for when the floor actually gates).
-fn gate_speedups(new: &JsonValue, opts: DiffOptions, report: &mut DiffReport) {
+fn gate_speedups(new: &Value, opts: DiffOptions, report: &mut DiffReport) {
     let threads = new
         .get("threads_available")
-        .and_then(parse_num)
+        .and_then(Value::as_f64)
         .unwrap_or(0.0) as u64;
     if threads < opts.speedup_min_threads {
         if !find_speedup_objects(new, "").is_empty() {
@@ -224,27 +225,20 @@ fn gate_speedups(new: &JsonValue, opts: DiffOptions, report: &mut DiffReport) {
     }
 }
 
-fn parse_num(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Num(raw) => raw.parse().ok(),
-        _ => None,
-    }
-}
-
 /// Every object in `doc` measuring a parallel speedup, as
 /// `(path, par_speedup, seq_wall_ms)` triples in document order.
-fn find_speedup_objects(doc: &JsonValue, path: &str) -> Vec<(String, f64, f64)> {
+fn find_speedup_objects(doc: &Value, path: &str) -> Vec<(String, f64, f64)> {
     let mut found = Vec::new();
     collect_speedup_objects(doc, path, &mut found);
     found
 }
 
-fn collect_speedup_objects(doc: &JsonValue, path: &str, found: &mut Vec<(String, f64, f64)>) {
+fn collect_speedup_objects(doc: &Value, path: &str, found: &mut Vec<(String, f64, f64)>) {
     match doc {
-        JsonValue::Obj(entries) => {
+        Value::Obj(entries) => {
             if let (Some(speedup), Some(seq)) = (
-                doc.get(SPEEDUP_KEY).and_then(parse_num),
-                doc.get("seq_wall_ms").and_then(parse_num),
+                doc.get(SPEEDUP_KEY).and_then(Value::as_f64),
+                doc.get("seq_wall_ms").and_then(Value::as_f64),
             ) {
                 found.push((path.to_string(), speedup, seq));
             }
@@ -252,7 +246,7 @@ fn collect_speedup_objects(doc: &JsonValue, path: &str, found: &mut Vec<(String,
                 collect_speedup_objects(v, &join(path, k), found);
             }
         }
-        JsonValue::Arr(items) => {
+        Value::Arr(items) => {
             for (i, v) in items.iter().enumerate() {
                 collect_speedup_objects(v, &format!("{path}[{i}]"), found);
             }
@@ -272,8 +266,8 @@ fn join(path: &str, key: &str) -> String {
 }
 
 fn walk(
-    base: &JsonValue,
-    new: &JsonValue,
+    base: &Value,
+    new: &Value,
     path: &str,
     key: &str,
     opts: DiffOptions,
@@ -291,7 +285,7 @@ fn walk(
         return;
     }
     match (base, new) {
-        (JsonValue::Obj(base_entries), JsonValue::Obj(new_entries)) => {
+        (Value::Obj(base_entries), Value::Obj(new_entries)) => {
             for (k, base_v) in base_entries {
                 match new.get(k) {
                     Some(new_v) => walk(base_v, new_v, &join(path, k), k, opts, report),
@@ -310,7 +304,7 @@ fn walk(
                 }
             }
         }
-        (JsonValue::Arr(base_items), JsonValue::Arr(new_items)) => {
+        (Value::Arr(base_items), Value::Arr(new_items)) => {
             if base_items.len() != new_items.len() {
                 report.regressions.push(Finding {
                     path: display_path(path),
@@ -326,7 +320,7 @@ fn walk(
                 walk(b, n, &format!("{path}[{i}]"), key, opts, report);
             }
         }
-        (JsonValue::Num(base_raw), JsonValue::Num(new_raw)) => {
+        (Value::Num(base_raw), Value::Num(new_raw)) => {
             compare_numbers(base_raw, new_raw, path, key, opts, report);
         }
         _ => {
@@ -447,19 +441,19 @@ impl fmt::Display for Schema {
 /// `"bench": "shard"` the shard report, `"bench": "procshard"` the
 /// process-per-shard report, any other `"bench"` the re-engine report,
 /// and its absence the obs registry.
-pub fn detect_schema(doc: &JsonValue) -> Schema {
+pub fn detect_schema(doc: &Value) -> Schema {
     match doc.get("bench") {
-        Some(JsonValue::Str(kind)) if kind.as_str() == "service" => Schema::Service,
-        Some(JsonValue::Str(kind)) if kind.as_str() == "curves" => Schema::Curves,
-        Some(JsonValue::Str(kind)) if kind.as_str() == "shard" => Schema::Shard,
-        Some(JsonValue::Str(kind)) if kind.as_str() == "procshard" => Schema::ProcShard,
+        Some(Value::Str(kind)) if *kind == "service" => Schema::Service,
+        Some(Value::Str(kind)) if *kind == "curves" => Schema::Curves,
+        Some(Value::Str(kind)) if *kind == "shard" => Schema::Shard,
+        Some(Value::Str(kind)) if *kind == "procshard" => Schema::ProcShard,
         Some(_) => Schema::ReEngine,
         None => Schema::Obs,
     }
 }
 
 /// Validates `doc` against `schema`; returns every violation.
-pub fn check_schema(doc: &JsonValue, schema: Schema) -> Vec<Finding> {
+pub fn check_schema(doc: &Value, schema: Schema) -> Vec<Finding> {
     let mut errors = Vec::new();
     match schema {
         Schema::Obs => check_obs(doc, &mut errors),
@@ -479,9 +473,9 @@ fn fail(errors: &mut Vec<Finding>, path: &str, message: impl Into<String>) {
     });
 }
 
-fn require_num(obj: &JsonValue, key: &str, path: &str, errors: &mut Vec<Finding>) {
+fn require_num(obj: &Value, key: &str, path: &str, errors: &mut Vec<Finding>) {
     match obj.get(key) {
-        Some(JsonValue::Num(_)) => {}
+        Some(Value::Num(_)) => {}
         Some(other) => fail(
             errors,
             &join(path, key),
@@ -491,7 +485,7 @@ fn require_num(obj: &JsonValue, key: &str, path: &str, errors: &mut Vec<Finding>
     }
 }
 
-fn check_obs(doc: &JsonValue, errors: &mut Vec<Finding>) {
+fn check_obs(doc: &Value, errors: &mut Vec<Finding>) {
     let Some(entries) = doc.as_obj() else {
         fail(errors, "", "top level must be an object of panels");
         return;
@@ -509,20 +503,20 @@ fn check_obs(doc: &JsonValue, errors: &mut Vec<Finding>) {
     }
 }
 
-fn check_span(span: &JsonValue, path: &str, errors: &mut Vec<Finding>) {
+fn check_span(span: &Value, path: &str, errors: &mut Vec<Finding>) {
     if span.as_obj().is_none() {
         fail(errors, path, "span must be an object");
         return;
     }
     match span.get("name") {
-        Some(JsonValue::Str(_)) => {}
+        Some(Value::Str(_)) => {}
         _ => fail(errors, &join(path, "name"), "span needs a string name"),
     }
     require_num(span, "wall_us", path, errors);
     match span.get("counters") {
-        Some(JsonValue::Obj(counters)) => {
+        Some(Value::Obj(counters)) => {
             for (counter, value) in counters {
-                if !matches!(value, JsonValue::Num(_)) {
+                if !matches!(value, Value::Num(_)) {
                     fail(
                         errors,
                         &join(&join(path, "counters"), counter),
@@ -565,17 +559,17 @@ fn check_span(span: &JsonValue, path: &str, errors: &mut Vec<Finding>) {
     }
 }
 
-fn check_re_engine(doc: &JsonValue, errors: &mut Vec<Finding>) {
+fn check_re_engine(doc: &Value, errors: &mut Vec<Finding>) {
     if doc.as_obj().is_none() {
         fail(errors, "", "top level must be an object");
         return;
     }
     match doc.get("bench") {
-        Some(JsonValue::Str(_)) => {}
+        Some(Value::Str(_)) => {}
         _ => fail(errors, "\"bench\"", "required string key is missing"),
     }
     require_num(doc, "threads_available", "", errors);
-    let Some(problems) = doc.get("problems").and_then(JsonValue::as_arr) else {
+    let Some(problems) = doc.get("problems").and_then(Value::as_arr) else {
         fail(errors, "\"problems\"", "required array key is missing");
         return;
     };
@@ -586,7 +580,7 @@ fn check_re_engine(doc: &JsonValue, errors: &mut Vec<Finding>) {
             continue;
         }
         match problem.get("name") {
-            Some(JsonValue::Str(_)) => {}
+            Some(Value::Str(_)) => {}
             _ => fail(errors, &join(&path, "name"), "problem needs a string name"),
         }
         for key in [
@@ -599,7 +593,7 @@ fn check_re_engine(doc: &JsonValue, errors: &mut Vec<Finding>) {
         ] {
             require_num(problem, key, &path, errors);
         }
-        let Some(levels) = problem.get("levels").and_then(JsonValue::as_arr) else {
+        let Some(levels) = problem.get("levels").and_then(Value::as_arr) else {
             fail(
                 errors,
                 &join(&path, "levels"),
@@ -625,7 +619,7 @@ fn check_re_engine(doc: &JsonValue, errors: &mut Vec<Finding>) {
                 require_num(level, key, &level_path, errors);
             }
             match level.get("fixpoint_of") {
-                Some(JsonValue::Num(_) | JsonValue::Null) => {}
+                Some(Value::Num(_) | Value::Null) => {}
                 Some(other) => fail(
                     errors,
                     &join(&level_path, "fixpoint_of"),
@@ -648,7 +642,7 @@ fn check_re_engine(doc: &JsonValue, errors: &mut Vec<Finding>) {
                 return;
             }
             match sweep.get("name") {
-                Some(JsonValue::Str(_)) => {}
+                Some(Value::Str(_)) => {}
                 _ => fail(errors, &join(path, "name"), "sweep needs a string name"),
             }
             for key in [
@@ -665,13 +659,13 @@ fn check_re_engine(doc: &JsonValue, errors: &mut Vec<Finding>) {
     }
 }
 
-fn check_service(doc: &JsonValue, errors: &mut Vec<Finding>) {
+fn check_service(doc: &Value, errors: &mut Vec<Finding>) {
     if doc.as_obj().is_none() {
         fail(errors, "", "top level must be an object");
         return;
     }
     match doc.get("bench") {
-        Some(JsonValue::Str(kind)) if kind.as_str() == "service" => {}
+        Some(Value::Str(kind)) if *kind == "service" => {}
         Some(_) => fail(errors, "\"bench\"", "must be the string \"service\""),
         None => fail(errors, "\"bench\"", "required string key is missing"),
     }
@@ -698,13 +692,13 @@ fn check_service(doc: &JsonValue, errors: &mut Vec<Finding>) {
     }
 }
 
-fn check_shard(doc: &JsonValue, errors: &mut Vec<Finding>) {
+fn check_shard(doc: &Value, errors: &mut Vec<Finding>) {
     if doc.as_obj().is_none() {
         fail(errors, "", "top level must be an object");
         return;
     }
     match doc.get("bench") {
-        Some(JsonValue::Str(kind)) if kind.as_str() == "shard" => {}
+        Some(Value::Str(kind)) if *kind == "shard" => {}
         Some(_) => fail(errors, "\"bench\"", "must be the string \"shard\""),
         None => fail(errors, "\"bench\"", "required string key is missing"),
     }
@@ -731,13 +725,13 @@ fn check_shard(doc: &JsonValue, errors: &mut Vec<Finding>) {
     }
 }
 
-fn check_procshard(doc: &JsonValue, errors: &mut Vec<Finding>) {
+fn check_procshard(doc: &Value, errors: &mut Vec<Finding>) {
     if doc.as_obj().is_none() {
         fail(errors, "", "top level must be an object");
         return;
     }
     match doc.get("bench") {
-        Some(JsonValue::Str(kind)) if kind.as_str() == "procshard" => {}
+        Some(Value::Str(kind)) if *kind == "procshard" => {}
         Some(_) => fail(errors, "\"bench\"", "must be the string \"procshard\""),
         None => fail(errors, "\"bench\"", "required string key is missing"),
     }
@@ -764,17 +758,17 @@ fn check_procshard(doc: &JsonValue, errors: &mut Vec<Finding>) {
     }
 }
 
-fn check_curves(doc: &JsonValue, errors: &mut Vec<Finding>) {
+fn check_curves(doc: &Value, errors: &mut Vec<Finding>) {
     if doc.as_obj().is_none() {
         fail(errors, "", "top level must be an object");
         return;
     }
     match doc.get("bench") {
-        Some(JsonValue::Str(kind)) if kind.as_str() == "curves" => {}
+        Some(Value::Str(kind)) if *kind == "curves" => {}
         Some(_) => fail(errors, "\"bench\"", "must be the string \"curves\""),
         None => fail(errors, "\"bench\"", "required string key is missing"),
     }
-    let Some(panels) = doc.get("panels").and_then(JsonValue::as_obj) else {
+    let Some(panels) = doc.get("panels").and_then(Value::as_obj) else {
         fail(errors, "\"panels\"", "required object key is missing");
         return;
     };
@@ -788,7 +782,7 @@ fn check_curves(doc: &JsonValue, errors: &mut Vec<Finding>) {
             continue;
         }
         match panel.get("fitted_class") {
-            Some(JsonValue::Str(_)) => {}
+            Some(Value::Str(_)) => {}
             _ => fail(
                 errors,
                 &join(&path, "fitted_class"),
@@ -798,7 +792,7 @@ fn check_curves(doc: &JsonValue, errors: &mut Vec<Finding>) {
         require_num(panel, R2_KEY, &path, errors);
         let mut point_count = None;
         for key in ["ns", "counts"] {
-            match panel.get(key).and_then(JsonValue::as_arr) {
+            match panel.get(key).and_then(Value::as_arr) {
                 Some(items) if items.len() >= 2 => match point_count {
                     None => point_count = Some(items.len()),
                     Some(expected) if expected != items.len() => fail(
@@ -839,7 +833,7 @@ fn check_curves(doc: &JsonValue, errors: &mut Vec<Finding>) {
         // The whole point of the curves gate: no wall keys may sneak in.
         if let Some(entries) = panel.as_obj() {
             for (k, _) in entries {
-                if WALL_KEYS.contains(&k.as_str()) {
+                if WALL_KEYS.contains(&&**k) {
                     fail(
                         errors,
                         &join(&path, k),
@@ -854,9 +848,15 @@ fn check_curves(doc: &JsonValue, errors: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use lcl_obs::json::parse;
 
-    fn obs_doc() -> JsonValue {
+    /// Gives a test document built with `format!` the `'static` lifetime
+    /// the fixtures' values borrow.
+    fn leak(text: String) -> &'static str {
+        Box::leak(text.into_boxed_str())
+    }
+
+    fn obs_doc() -> Value<'static> {
         parse(
             r#"{
               "E1/trees/cole-vishkin": {
@@ -876,12 +876,10 @@ mod tests {
         .expect("valid obs doc")
     }
 
-    fn bump_counter(doc: &mut JsonValue, counter: &str) {
+    fn bump_counter(doc: &mut Value<'static>, counter: &str) {
         // Fabricate a +1 on a counter inside the first panel's trace.
-        let JsonValue::Obj(panels) = doc else {
-            panic!()
-        };
-        let JsonValue::Obj(panel) = &mut panels[0].1 else {
+        let Value::Obj(panels) = doc else { panic!() };
+        let Value::Obj(panel) = &mut panels[0].1 else {
             panic!()
         };
         let trace = &mut panel
@@ -889,15 +887,13 @@ mod tests {
             .find(|(k, _)| k == "trace")
             .expect("trace")
             .1;
-        let JsonValue::Obj(span) = trace else {
-            panic!()
-        };
+        let Value::Obj(span) = trace else { panic!() };
         let counters = &mut span
             .iter_mut()
             .find(|(k, _)| k == "counters")
             .expect("counters")
             .1;
-        let JsonValue::Obj(counters) = counters else {
+        let Value::Obj(counters) = counters else {
             panic!()
         };
         let value = &mut counters
@@ -905,9 +901,9 @@ mod tests {
             .find(|(k, _)| k == counter)
             .expect("counter")
             .1;
-        let JsonValue::Num(raw) = value else { panic!() };
+        let Value::Num(raw) = value else { panic!() };
         let bumped = raw.parse::<u64>().expect("integer counter") + 1;
-        *raw = bumped.to_string();
+        *raw = leak(bumped.to_string());
     }
 
     #[test]
@@ -939,16 +935,16 @@ mod tests {
         let base = obs_doc();
         let mut new = base.clone();
         // 412 µs -> 500 µs is +21 %, inside ±30 % (and the floor).
-        let JsonValue::Obj(panels) = &mut new else {
+        let Value::Obj(panels) = &mut new else {
             panic!()
         };
-        let JsonValue::Obj(panel) = &mut panels[0].1 else {
+        let Value::Obj(panel) = &mut panels[0].1 else {
             panic!()
         };
-        let JsonValue::Obj(span) = &mut panel[1].1 else {
+        let Value::Obj(span) = &mut panel[1].1 else {
             panic!()
         };
-        span[1].1 = JsonValue::Num("500".into());
+        span[1].1 = Value::Num("500");
         let report = diff(&base, &new, DiffOptions::default());
         assert!(report.is_clean(), "unexpected: {:?}", report.regressions);
     }
@@ -957,17 +953,17 @@ mod tests {
     fn wall_time_blowup_regresses() {
         let base = obs_doc();
         let mut new = base.clone();
-        let JsonValue::Obj(panels) = &mut new else {
+        let Value::Obj(panels) = &mut new else {
             panic!()
         };
-        let JsonValue::Obj(panel) = &mut panels[0].1 else {
+        let Value::Obj(panel) = &mut panels[0].1 else {
             panic!()
         };
-        let JsonValue::Obj(span) = &mut panel[1].1 else {
+        let Value::Obj(span) = &mut panel[1].1 else {
             panic!()
         };
         // 412 µs -> 2000 µs: way past both tolerance and floor.
-        span[1].1 = JsonValue::Num("2000".into());
+        span[1].1 = Value::Num("2000");
         let report = diff(&base, &new, DiffOptions::default());
         assert_eq!(report.regressions.len(), 1);
         assert!(report.regressions[0].path.contains("wall_us"));
@@ -993,12 +989,12 @@ mod tests {
         assert_eq!(report.notes.len(), 2);
     }
 
-    fn speedup_doc(threads: u64, speedup: f64, seq_wall_ms: f64) -> JsonValue {
-        parse(&format!(
+    fn speedup_doc(threads: u64, speedup: f64, seq_wall_ms: f64) -> Value<'static> {
+        parse(leak(format!(
             r#"{{"threads_available": {threads},
                  "problems": [{{"name": "e1", "seq_wall_ms": {seq_wall_ms},
                                 "par_wall_ms": 1.0, "par_speedup": {speedup}}}]}}"#
-        ))
+        )))
         .expect("valid")
     }
 
@@ -1083,19 +1079,19 @@ mod tests {
 
         // Break the re doc: drop a required level counter.
         let mut broken = re.clone();
-        let JsonValue::Obj(top) = &mut broken else {
+        let Value::Obj(top) = &mut broken else {
             panic!()
         };
-        let JsonValue::Arr(problems) = &mut top[2].1 else {
+        let Value::Arr(problems) = &mut top[2].1 else {
             panic!()
         };
-        let JsonValue::Obj(problem) = &mut problems[0] else {
+        let Value::Obj(problem) = &mut problems[0] else {
             panic!()
         };
-        let JsonValue::Arr(levels) = &mut problem.last_mut().expect("levels").1 else {
+        let Value::Arr(levels) = &mut problem.last_mut().expect("levels").1 else {
             panic!()
         };
-        let JsonValue::Obj(level) = &mut levels[0] else {
+        let Value::Obj(level) = &mut levels[0] else {
             panic!()
         };
         level.retain(|(k, _)| k != "configurations");
@@ -1125,7 +1121,7 @@ mod tests {
         // Dropping a dedup counter is a schema violation, not a silently
         // ungated key.
         let mut broken = service.clone();
-        let JsonValue::Obj(top) = &mut broken else {
+        let Value::Obj(top) = &mut broken else {
             panic!()
         };
         top.retain(|(k, _)| k != "served_from_cache");
@@ -1158,7 +1154,7 @@ mod tests {
 
         // Dropping a recovery counter is a schema violation.
         let mut broken = shard.clone();
-        let JsonValue::Obj(top) = &mut broken else {
+        let Value::Obj(top) = &mut broken else {
             panic!()
         };
         top.retain(|(k, _)| k != "shards_rebuilt");
@@ -1167,8 +1163,8 @@ mod tests {
         assert!(errors[0].path.contains("shards_rebuilt"));
     }
 
-    fn curves_doc(class: &str, r2: f64) -> JsonValue {
-        parse(&format!(
+    fn curves_doc(class: &str, r2: f64) -> Value<'static> {
+        parse(leak(format!(
             r#"{{"bench": "curves",
                  "panels": {{
                    "trees/cole-vishkin-rounds": {{
@@ -1181,7 +1177,7 @@ mod tests {
                      "node_averaged": [1.5, 1.5]
                    }}
                  }}}}"#
-        ))
+        )))
         .expect("valid curves doc")
     }
 

@@ -52,7 +52,7 @@
 //! microbenchmarks of the hot paths live in `--bench micro`.
 //!
 //! The committed baselines are *gated*: the `bench-diff` binary
-//! ([`json`] + [`diff`]) compares a fresh report against the committed
+//! ([`diff`], reading through [`lcl_obs::json`]) compares a fresh report against the committed
 //! one — counters bit-exact, wall times within tolerance — and exits
 //! nonzero on any regression. `scripts/check.sh` runs it.
 
@@ -62,7 +62,6 @@ pub mod diff;
 pub mod fig1;
 pub mod gaps;
 pub mod grid_algos;
-pub mod json;
 pub mod obs_report;
 pub mod procshard_report;
 pub mod re_engine;

@@ -270,7 +270,7 @@ pub fn procshard_report() -> Table {
 mod tests {
     use super::*;
     use crate::diff::{check_schema, detect_schema, diff, DiffOptions, Schema};
-    use crate::json::parse;
+    use lcl_obs::json::parse;
 
     #[test]
     fn emitted_json_passes_the_procshard_schema() {
@@ -290,7 +290,8 @@ mod tests {
             chaos_wall_ms: 80.2,
             total_wall_ms: 200.7,
         };
-        let doc = parse(&emit_json(&numbers)).expect("emitted JSON parses");
+        let text = emit_json(&numbers);
+        let doc = parse(&text).expect("emitted JSON parses");
         assert_eq!(detect_schema(&doc), Schema::ProcShard);
         assert!(check_schema(&doc, Schema::ProcShard).is_empty());
         assert!(diff(&doc, &doc, DiffOptions::default()).is_clean());

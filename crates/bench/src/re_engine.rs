@@ -425,7 +425,7 @@ mod tests {
         assert!(!json.contains("NaN") && !json.contains("inf"));
         // The emitted report passes its own schema and self-diffs clean —
         // the same fixed point the committed baseline must satisfy.
-        let doc = crate::json::parse(&json).expect("own report parses");
+        let doc = lcl_obs::json::parse(&json).expect("own report parses");
         assert_eq!(
             crate::diff::detect_schema(&doc),
             crate::diff::Schema::ReEngine

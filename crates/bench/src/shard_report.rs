@@ -318,7 +318,7 @@ pub fn shard_report() -> Table {
 mod tests {
     use super::*;
     use crate::diff::{check_schema, detect_schema, diff, DiffOptions, Schema};
-    use crate::json::parse;
+    use lcl_obs::json::parse;
 
     #[test]
     fn emitted_json_passes_the_shard_schema() {
@@ -337,7 +337,8 @@ mod tests {
             certified: 1,
             total_wall_ms: 12.5,
         };
-        let doc = parse(&emit_json(&numbers)).expect("emitted JSON parses");
+        let text = emit_json(&numbers);
+        let doc = parse(&text).expect("emitted JSON parses");
         assert_eq!(detect_schema(&doc), Schema::Shard);
         assert!(check_schema(&doc, Schema::Shard).is_empty());
         assert!(diff(&doc, &doc, DiffOptions::default()).is_clean());

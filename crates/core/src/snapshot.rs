@@ -6,8 +6,8 @@
 //! [`TowerSnapshot`] captures everything a [`ReTower`](crate::ReTower)
 //! has computed — the base problem, every derived level's interned
 //! label universe and configuration bitsets, the extensional tables
-//! used for fixpoint detection, and the per-level spans — in the same
-//! hand-rolled JSON conventions the `lcl_obs` exporters use, so a
+//! used for fixpoint detection, and the per-level spans — as JSON read
+//! and escaped by the workspace's one codec ([`lcl_obs::json`]), so a
 //! budget breach or panic mid-tower can resume bit-identically via
 //! `ReTower::resume_from`.
 //!
@@ -21,6 +21,7 @@
 use std::fmt;
 
 use lcl::ParseError;
+use lcl_obs::json::{self, Value};
 
 use crate::tower::LayerKind;
 
@@ -156,7 +157,7 @@ impl TowerSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"version\":1,\"problem\":");
-        push_json_string(&mut out, &self.problem);
+        json::push_string(&mut out, &self.problem);
         out.push_str(",\"layers\":[");
         for (i, layer) in self.layers.iter().enumerate() {
             if i > 0 {
@@ -206,7 +207,7 @@ impl TowerSnapshot {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            push_json_string(&mut out, &span.name);
+            json::push_string(&mut out, &span.name);
             out.push_str(",\"wall_us\":");
             out.push_str(&span.wall_us.to_string());
             out.push_str(",\"counters\":{");
@@ -214,7 +215,7 @@ impl TowerSnapshot {
                 if j > 0 {
                     out.push(',');
                 }
-                push_json_string(&mut out, name);
+                json::push_string(&mut out, name);
                 out.push(':');
                 out.push_str(&value.to_string());
             }
@@ -226,11 +227,14 @@ impl TowerSnapshot {
 
     /// Parses a document produced by [`TowerSnapshot::to_json`].
     pub fn parse(text: &str) -> Result<Self, SnapshotError> {
-        let value = JsonParser::parse_document(text)?;
-        let root = value.as_obj("snapshot object")?;
-        let version = match root.field("version") {
-            Ok(v) => v.as_u64("format version")?,
-            Err(_) => 0,
+        let root = json::parse(text).map_err(|e| SnapshotError::Json {
+            pos: e.pos,
+            what: e.what,
+        })?;
+        want(root.as_obj(), "snapshot object")?;
+        let version = match root.get("version") {
+            Some(v) => want(v.as_u64(), "format version")?,
+            None => 0,
         };
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::Version {
@@ -238,55 +242,63 @@ impl TowerSnapshot {
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let problem = root.field("problem")?.as_str("problem string")?.to_string();
         let mut layers = Vec::new();
-        for layer in root.field("layers")?.as_arr("layers array")? {
-            let layer = layer.as_obj("layer object")?;
-            let kind = match layer.field("kind")?.as_str("layer kind")? {
+        for layer in array(&root, "layers")? {
+            let kind = match want(layer.get("kind").and_then(Value::as_str), "layer kind")? {
                 "r" => LayerKind::R,
                 "rbar" => LayerKind::RBar,
                 _ => return Err(SnapshotError::Invalid("unknown layer kind")),
             };
             layers.push(LayerSnapshot {
                 kind,
-                members: nested_u32(layer.field("members")?)?,
-                edge_rows: nested_usize(layer.field("edge_rows")?)?,
-                g_rows: nested_usize(layer.field("g_rows")?)?,
+                members: nested(
+                    layer,
+                    "members",
+                    |n| u32::try_from(n).ok(),
+                    "member exceeds u32",
+                )?,
+                edge_rows: nested(layer, "edge_rows", usize_from, "count exceeds usize")?,
+                g_rows: nested(layer, "g_rows", usize_from, "count exceeds usize")?,
             });
         }
         let mut tables = Vec::new();
-        for table in root.field("tables")?.as_arr("tables array")? {
-            if matches!(table, Json::Null) {
+        for table in array(&root, "tables")? {
+            if *table == Value::Null {
                 tables.push(None);
                 continue;
             }
-            let table = table.as_obj("table object")?;
             let mut node_relation = Vec::new();
-            for b in table.field("node_relation")?.as_arr("node relation")? {
-                node_relation.push(b.as_bool("node relation entry")?);
+            for b in array(table, "node_relation")? {
+                node_relation.push(want(b.as_bool(), "node relation entry")?);
             }
+            let labels = want(table.get("labels").and_then(Value::as_u64), "label count")?;
             tables.push(Some(TableSnapshot {
-                labels: usize_from(table.field("labels")?.as_u64("label count")?)?,
-                edge_rows: nested_usize(table.field("edge_rows")?)?,
-                g_rows: nested_usize(table.field("g_rows")?)?,
+                labels: usize_from(labels).ok_or(SnapshotError::Invalid("count exceeds usize"))?,
+                edge_rows: nested(table, "edge_rows", usize_from, "count exceeds usize")?,
+                g_rows: nested(table, "g_rows", usize_from, "count exceeds usize")?,
                 node_relation,
             }));
         }
         let mut spans = Vec::new();
-        for span in root.field("spans")?.as_arr("spans array")? {
-            let span = span.as_obj("span object")?;
-            let mut counters = Vec::new();
-            for (name, value) in span.field("counters")?.as_obj("counter map")?.fields() {
-                counters.push((name.to_string(), value.as_u64("counter value")?));
-            }
+        for span in array(&root, "spans")? {
+            let counters = want(span.get("counters").and_then(Value::as_obj), "counter map")?;
             spans.push(SpanSnapshot {
-                name: span.field("name")?.as_str("span name")?.to_string(),
-                wall_us: span.field("wall_us")?.as_u64("span wall")?,
-                counters,
+                name: want(span.get("name").and_then(Value::as_str), "span name")?.to_string(),
+                wall_us: want(span.get("wall_us").and_then(Value::as_u64), "span wall")?,
+                counters: counters
+                    .iter()
+                    .map(|(name, value)| {
+                        Ok((name.to_string(), want(value.as_u64(), "counter value")?))
+                    })
+                    .collect::<Result<_, SnapshotError>>()?,
             });
         }
         Ok(Self {
-            problem,
+            problem: want(
+                root.get("problem").and_then(Value::as_str),
+                "problem string",
+            )?
+            .to_string(),
             layers,
             tables,
             spans,
@@ -311,8 +323,41 @@ impl TowerSnapshot {
     }
 }
 
-fn usize_from(wide: u64) -> Result<usize, SnapshotError> {
-    usize::try_from(wide).map_err(|_| SnapshotError::Invalid("count exceeds usize"))
+fn usize_from(wide: u64) -> Option<usize> {
+    usize::try_from(wide).ok()
+}
+
+/// A decoded field, or the [`SnapshotError::Json`] naming what was
+/// missing or mistyped (the codec has no positions for decoded values).
+fn want<T>(value: Option<T>, what: &'static str) -> Result<T, SnapshotError> {
+    value.ok_or(SnapshotError::Json { pos: 0, what })
+}
+
+/// The array field `key` of the object `obj`.
+fn array<'v, 'a>(obj: &'v Value<'a>, key: &'static str) -> Result<&'v [Value<'a>], SnapshotError> {
+    want(obj.get(key).and_then(Value::as_arr), key)
+}
+
+/// The array-of-integer-arrays field `key`, each integer narrowed by
+/// `narrow` (`overflow` names a failed narrowing).
+fn nested<T>(
+    obj: &Value<'_>,
+    key: &'static str,
+    narrow: impl Fn(u64) -> Option<T>,
+    overflow: &'static str,
+) -> Result<Vec<Vec<T>>, SnapshotError> {
+    let rows_in = array(obj, key)?;
+    let mut rows = Vec::with_capacity(rows_in.len());
+    for row in rows_in {
+        let row = want(row.as_arr(), "inner array")?;
+        let mut out = Vec::with_capacity(row.len());
+        for v in row {
+            let wide = want(v.as_u64(), "array number")?;
+            out.push(narrow(wide).ok_or(SnapshotError::Invalid(overflow))?);
+        }
+        rows.push(out);
+    }
+    Ok(rows)
 }
 
 fn push_nested_u32(out: &mut String, rows: &[Vec<u32>]) {
@@ -349,343 +394,6 @@ fn push_nested_usize(out: &mut String, rows: &[Vec<usize>]) {
         out.push(']');
     }
     out.push(']');
-}
-
-fn nested_u32(value: &Json) -> Result<Vec<Vec<u32>>, SnapshotError> {
-    let mut rows = Vec::new();
-    for row in value.as_arr("nested array")? {
-        let mut out = Vec::new();
-        for v in row.as_arr("inner array")? {
-            let wide = v.as_u64("array number")?;
-            out.push(
-                u32::try_from(wide).map_err(|_| SnapshotError::Invalid("member exceeds u32"))?,
-            );
-        }
-        rows.push(out);
-    }
-    Ok(rows)
-}
-
-fn nested_usize(value: &Json) -> Result<Vec<Vec<usize>>, SnapshotError> {
-    let mut rows = Vec::new();
-    for row in value.as_arr("nested array")? {
-        let mut out = Vec::new();
-        for v in row.as_arr("inner array")? {
-            out.push(usize_from(v.as_u64("array number")?)?);
-        }
-        rows.push(out);
-    }
-    Ok(rows)
-}
-
-/// Writes `s` as a JSON string literal with full escaping (the same
-/// conventions as the `lcl_obs` exporters).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// The minimal JSON value model the snapshot format needs: objects,
-/// arrays, strings, non-negative integers, booleans, and `null`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(JsonObj),
-}
-
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct JsonObj {
-    fields: Vec<(String, Json)>,
-}
-
-impl JsonObj {
-    fn field(&self, name: &'static str) -> Result<&Json, SnapshotError> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or(SnapshotError::Json { pos: 0, what: name })
-    }
-
-    fn fields(&self) -> impl Iterator<Item = (&str, &Json)> {
-        self.fields.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
-impl Json {
-    fn as_obj(&self, what: &'static str) -> Result<&JsonObj, SnapshotError> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(SnapshotError::Json { pos: 0, what }),
-        }
-    }
-
-    fn as_arr(&self, what: &'static str) -> Result<&[Json], SnapshotError> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(SnapshotError::Json { pos: 0, what }),
-        }
-    }
-
-    fn as_str(&self, what: &'static str) -> Result<&str, SnapshotError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(SnapshotError::Json { pos: 0, what }),
-        }
-    }
-
-    fn as_u64(&self, what: &'static str) -> Result<u64, SnapshotError> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(SnapshotError::Json { pos: 0, what }),
-        }
-    }
-
-    fn as_bool(&self, what: &'static str) -> Result<bool, SnapshotError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(SnapshotError::Json { pos: 0, what }),
-        }
-    }
-}
-
-/// A recursive-descent parser for the subset of JSON the snapshot
-/// writer emits. Zero-dependency by design — the workspace has no serde
-/// and the format is fully under our control.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse_document(text: &'a str) -> Result<Json, SnapshotError> {
-        let mut p = Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("end of document"));
-        }
-        Ok(value)
-    }
-
-    fn err(&self, what: &'static str) -> SnapshotError {
-        SnapshotError::Json {
-            pos: self.pos,
-            what,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, byte: u8, what: &'static str) -> Result<(), SnapshotError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(what))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, SnapshotError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            _ => Err(self.err("a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, text: &'static str, value: Json) -> Result<Json, SnapshotError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.err("a JSON literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, SnapshotError> {
-        let mut n: u64 = 0;
-        let start = self.pos;
-        while let Some(d) = self
-            .bytes
-            .get(self.pos)
-            .and_then(|b| (*b as char).to_digit(10))
-        {
-            n = n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add(u64::from(d)))
-                .ok_or(SnapshotError::Json {
-                    pos: start,
-                    what: "a number within u64",
-                })?;
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("a digit"));
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("an integer (no fractions)"));
-        }
-        Ok(Json::Num(n))
-    }
-
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        self.eat(b'"', "opening quote")?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("closing quote"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("escape character"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            let c = char::from_u32(code)
-                                .ok_or(self.err("a non-surrogate \\u escape"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("a valid escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b).ok_or(self.err("valid UTF-8"))?;
-                    let end = start + width;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or(self.err("a complete UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(slice).map_err(|_| self.err("valid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, SnapshotError> {
-        let mut code = 0u32;
-        for _ in 0..4 {
-            let Some(d) = self
-                .bytes
-                .get(self.pos)
-                .and_then(|b| (*b as char).to_digit(16))
-            else {
-                return Err(self.err("four hex digits"));
-            };
-            code = code * 16 + d;
-            self.pos += 1;
-        }
-        Ok(code)
-    }
-
-    fn array(&mut self) -> Result<Json, SnapshotError> {
-        self.eat(b'[', "[")?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err(", or ]")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, SnapshotError> {
-        self.eat(b'{', "{")?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(JsonObj { fields }));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':', ":")?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(JsonObj { fields }));
-                }
-                _ => return Err(self.err(", or }")),
-            }
-        }
-    }
-}
-
-fn utf8_width(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -794,7 +502,7 @@ mod tests {
 
     #[test]
     fn numbers_overflowing_u64_are_rejected() {
-        let doc = "{\"problem\":\"x\",\"layers\":[],\"tables\":[{\"labels\":99999999999999999999,\"edge_rows\":[],\"g_rows\":[],\"node_relation\":[]}],\"spans\":[]}";
+        let doc = "{\"version\":1,\"problem\":\"x\",\"layers\":[],\"tables\":[{\"labels\":99999999999999999999,\"edge_rows\":[],\"g_rows\":[],\"node_relation\":[]}],\"spans\":[]}";
         assert!(matches!(
             TowerSnapshot::parse(doc),
             Err(SnapshotError::Json { .. })

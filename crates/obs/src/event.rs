@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 
 use crate::cost::CostModel;
+use crate::json;
 
 /// One thing that happened during a simulation, at event granularity.
 ///
@@ -190,15 +191,15 @@ impl Event {
             } => {
                 let _ = write!(
                     out,
-                    ", \"stage\": \"{}\", \"attempt\": {attempt}, \"backoff_ms\": {backoff_ms}",
-                    escape(stage)
+                    ", \"stage\": {}, \"attempt\": {attempt}, \"backoff_ms\": {backoff_ms}",
+                    json::quote(stage)
                 );
             }
             Event::Checkpoint { stage, completed } => {
                 let _ = write!(
                     out,
-                    ", \"stage\": \"{}\", \"completed\": {completed}",
-                    escape(stage)
+                    ", \"stage\": {}, \"completed\": {completed}",
+                    json::quote(stage)
                 );
             }
             Event::ShardStep {
@@ -217,26 +218,6 @@ impl Event {
         out.push('}');
         out
     }
-}
-
-/// Minimal JSON string escaping for stage names (quotes, backslashes,
-/// and control characters; stages are ASCII identifiers in practice).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[derive(Debug, Default)]

@@ -29,6 +29,7 @@ use std::fmt::Write as _;
 
 use crate::counter::Counter;
 use crate::event::EventLog;
+use crate::json;
 use crate::registry::Registry;
 use crate::trace::{SpanRecord, Trace};
 
@@ -77,22 +78,6 @@ fn duration(span: &SpanRecord, mode: ExportMode) -> u64 {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn emit_slice(out: &mut Vec<String>, span: &SpanRecord, start: u64, budget: u64, mode: ExportMode) {
     let mut args = String::new();
     for (i, (c, v)) in span.counters().enumerate() {
@@ -100,9 +85,9 @@ fn emit_slice(out: &mut Vec<String>, span: &SpanRecord, start: u64, budget: u64,
         let _ = write!(args, "{sep}\"{}\": {v}", c.as_str());
     }
     out.push(format!(
-        "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {start}, \"dur\": {budget}, \
+        "{{\"name\": {}, \"ph\": \"X\", \"ts\": {start}, \"dur\": {budget}, \
          \"pid\": 0, \"tid\": 0, \"args\": {{{args}}}}}",
-        json_escape(span.name()),
+        json::quote(span.name()),
     ));
     // Children are laid out sequentially from the parent's start, each
     // clamped to the time remaining in the parent — so every slice nests

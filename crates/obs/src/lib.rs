@@ -66,6 +66,7 @@ pub mod counter;
 pub mod event;
 pub mod export;
 pub mod histogram;
+pub mod json;
 pub mod registry;
 pub mod trace;
 

@@ -6,6 +6,7 @@
 
 use std::sync::Mutex;
 
+use crate::json;
 use crate::trace::Trace;
 
 /// A labeled, append-only collection of [`Trace`]s.
@@ -69,7 +70,8 @@ impl Registry {
             } else {
                 format!("{label}#{n}")
             };
-            out.push_str(&format!("\"{}\": {{\n", escape(&key)));
+            json::push_string(&mut out, &key);
+            out.push_str(": {\n");
             out.push_str(&format!("\"order\": {i},\n"));
             out.push_str("\"trace\":\n");
             out.push_str(&trace.to_json());
@@ -83,16 +85,6 @@ impl Registry {
         out.push_str("}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -134,6 +126,19 @@ mod tests {
         let json = reg.to_json();
         assert!(json.contains("\"e1/stage\""));
         assert!(json.contains("\"e1/stage#2\""));
+    }
+
+    #[test]
+    fn control_characters_in_labels_round_trip_through_the_codec() {
+        let label = "line\nbreak\ttab\u{1}soh \"q\" back\\slash";
+        let reg = Registry::new();
+        reg.record(label, tiny("stage\r\u{1f}", 4));
+        let text = reg.to_json();
+        let doc = json::parse(&text).expect("registry dump is valid JSON");
+        let (key, entry) = &doc.as_obj().expect("an object")[0];
+        assert_eq!(key, label);
+        let name = entry.get("trace").and_then(|t| t.get("name"));
+        assert_eq!(name.and_then(json::Value::as_str), Some("stage\r\u{1f}"));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use std::time::{Duration, Instant};
 
 use crate::counter::Counter;
 use crate::histogram::Histogram;
+use crate::json;
 
 /// An *open* span: mutable, timing since [`Span::start`].
 ///
@@ -217,7 +218,7 @@ impl SpanRecord {
     fn write_json(&self, out: &mut String, indent: usize) {
         let pad = " ".repeat(indent);
         let _ = writeln!(out, "{pad}{{");
-        let _ = writeln!(out, "{pad}  \"name\": {},", json_string(&self.name));
+        let _ = writeln!(out, "{pad}  \"name\": {},", json::quote(&self.name));
         let _ = writeln!(out, "{pad}  \"wall_us\": {},", self.wall.as_micros());
         let _ = write!(out, "{pad}  \"counters\": {{");
         for (i, (c, v)) in self.counters.iter().enumerate() {
@@ -248,24 +249,6 @@ impl SpanRecord {
         }
         let _ = writeln!(out, "{pad}}}");
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A finished span tree — what a simulator hands back inside a

@@ -5,8 +5,8 @@
 //! a single newline-terminated flat JSON object. Structured payloads —
 //! halo batches, fault lists, event streams — ride inside string
 //! fields using two reserved control characters (`\u{1e}` between
-//! entries, `\u{1f}` between fields of an entry), which the protocol's
-//! escaper round-trips losslessly as ``/``.
+//! entries, `\u{1f}` between fields of an entry), which the JSON codec's
+//! escaper ([`lcl_obs::json::push_string`]) writes as `\u001e`/`\u001f`.
 //!
 //! Everything on this wire is plain data: halo payloads are encoded by
 //! the only processes that know the message type (the workers), and
@@ -25,8 +25,8 @@ use std::io::{BufRead, Write};
 
 use lcl_faults::NodeFault;
 use lcl_graph::gen;
-use lcl_obs::Event;
-use lcl_service::protocol::{escape_into, parse_flat_object, Scalar};
+use lcl_obs::{json, Event};
+use lcl_service::protocol::{parse_flat_object, Scalar};
 use lcl_service::push_str_field;
 use lcl_shard::HaloBatches;
 
@@ -121,9 +121,8 @@ pub fn push_bool_field(out: &mut String, name: &str, value: bool) {
 
 /// Starts a command/reply line: `{"op":"<op>"`.
 pub fn open_line(op: &str) -> String {
-    let mut out = String::from("{\"op\":\"");
-    escape_into(&mut out, op);
-    out.push('"');
+    let mut out = String::from("{\"op\":");
+    json::push_string(&mut out, op);
     out
 }
 

@@ -36,11 +36,16 @@
 //! as `progress` lines until `limit` events were sent (0 = until the
 //! server shuts down).
 //!
-//! Field values are flat scalars (strings, `u64`, booleans, `null`), so
-//! the decoder here is a deliberately small flat-object scanner rather
-//! than a general JSON parser.
+//! Every line is read by the workspace's JSON codec ([`lcl_obs::json`]),
+//! so the wire accepts exactly RFC 8259 objects — any escape a standard
+//! encoder emits, `\b`/`\f` and surrogate pairs included — and strings
+//! are written by that codec's one escaper. On top of the codec this
+//! module adds only the flat-object discipline: one object per line
+//! whose field values are scalars (strings, `u64`, booleans, `null`).
 
 use std::fmt;
+
+use lcl_obs::json::{self, Value};
 
 /// A classification job: an LCL problem in its
 /// [text form](lcl::LclProblem::to_text) and how many `f = R̄ ∘ R`
@@ -212,33 +217,13 @@ pub enum Scalar {
     Null,
 }
 
-/// Appends `s` to `out` with protocol-line escaping: quotes,
-/// backslashes, and every control character below `0x20` are escaped so
-/// the result never breaks the one-object-per-line framing.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Appends `"name":"value"` to `out` (no separators), escaping the
-/// value via [`escape_into`].
+/// value with [`json::push_string`].
 pub fn push_str_field(out: &mut String, name: &str, value: &str) {
     out.push('"');
     out.push_str(name);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
+    out.push_str("\":");
+    json::push_string(out, value);
 }
 
 /// Renders a request as one protocol line (no trailing newline).
@@ -328,221 +313,44 @@ pub fn encode_response(resp: &Response) -> String {
     out
 }
 
-/// Scans one flat JSON object line into its `(name, value)` fields, in
-/// wire order. This is the whole decoder of the line discipline:
+/// Decodes one flat JSON object line into its `(name, value)` fields,
+/// in wire order. This is the whole decoder of the line discipline:
 /// strictly one object per line (trailing garbage is rejected), field
 /// values limited to [`Scalar`]s. Reused by every line-JSON wire in the
 /// workspace.
 ///
 /// # Errors
 ///
-/// [`ProtocolError::Malformed`] when the line is not exactly one flat
-/// JSON object of scalar fields.
+/// [`ProtocolError::Malformed`] when the line is not JSON (at the
+/// codec's byte position), not an object (position 0), or holds a value
+/// that is not a scalar (position 0) or a number that is not a `u64` (at
+/// the number).
 pub fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, ProtocolError> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let mut fields = Vec::new();
-    skip_ws(bytes, &mut pos);
-    expect(bytes, &mut pos, b'{', "an object opening `{`")?;
-    skip_ws(bytes, &mut pos);
-    if peek(bytes, pos) == Some(b'}') {
-        pos += 1;
-        expect_line_end(bytes, pos)?;
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(bytes, &mut pos);
-        let name = parse_string(line, bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        expect(bytes, &mut pos, b':', "a `:` after the field name")?;
-        skip_ws(bytes, &mut pos);
-        let value = parse_scalar(line, bytes, &mut pos)?;
-        fields.push((name, value));
-        skip_ws(bytes, &mut pos);
-        match peek(bytes, pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                expect_line_end(bytes, pos)?;
-                return Ok(fields);
-            }
-            _ => {
-                return Err(ProtocolError::Malformed {
-                    pos,
-                    what: "a `,` or the closing `}`",
-                })
-            }
-        }
-    }
-}
-
-/// Only whitespace may follow the object's closing `}` — anything else
-/// is trailing garbage, not a protocol line.
-fn expect_line_end(bytes: &[u8], mut pos: usize) -> Result<(), ProtocolError> {
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Ok(())
-    } else {
-        Err(ProtocolError::Malformed {
-            pos,
-            what: "end of line after the closing `}`",
-        })
-    }
-}
-
-fn peek(bytes: &[u8], pos: usize) -> Option<u8> {
-    bytes.get(pos).copied()
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while matches!(peek(bytes, *pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-        *pos += 1;
-    }
-}
-
-fn expect(
-    bytes: &[u8],
-    pos: &mut usize,
-    byte: u8,
-    what: &'static str,
-) -> Result<(), ProtocolError> {
-    if peek(bytes, *pos) == Some(byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(ProtocolError::Malformed { pos: *pos, what })
-    }
-}
-
-fn parse_scalar(line: &str, bytes: &[u8], pos: &mut usize) -> Result<Scalar, ProtocolError> {
-    match peek(bytes, *pos) {
-        Some(b'"') => Ok(Scalar::Str(parse_string(line, bytes, pos)?)),
-        Some(b'0'..=b'9') => {
-            let start = *pos;
-            while matches!(peek(bytes, *pos), Some(b'0'..=b'9')) {
-                *pos += 1;
-            }
-            line[start..*pos]
-                .parse::<u64>()
-                .map(Scalar::Num)
-                .map_err(|_| ProtocolError::Malformed {
-                    pos: start,
-                    what: "a number fitting u64",
-                })
-        }
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Scalar::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Scalar::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Scalar::Null)
-        }
-        _ => Err(ProtocolError::Malformed {
-            pos: *pos,
-            what: "a string, number, boolean, or null",
-        }),
-    }
-}
-
-fn parse_string(line: &str, bytes: &[u8], pos: &mut usize) -> Result<String, ProtocolError> {
-    expect(bytes, pos, b'"', "a string opening `\"`")?;
-    let mut out = String::new();
-    loop {
-        match peek(bytes, *pos) {
-            None => {
-                return Err(ProtocolError::Malformed {
-                    pos: *pos,
-                    what: "a closing `\"`",
-                })
-            }
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match peek(bytes, *pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let code = parse_hex4(line, *pos)?;
-                        if (0xD800..=0xDBFF).contains(&code) {
-                            // A high surrogate: standard encoders (e.g.
-                            // `json.dumps` with `ensure_ascii`) spell
-                            // non-BMP characters as a \uXXXX\uXXXX
-                            // pair; require and combine the low half.
-                            let pair_err = ProtocolError::Malformed {
-                                pos: *pos,
-                                what: "a \\u low surrogate completing the pair",
-                            };
-                            if bytes.get(*pos + 5) != Some(&b'\\')
-                                || bytes.get(*pos + 6) != Some(&b'u')
-                            {
-                                return Err(pair_err);
-                            }
-                            let low = parse_hex4(line, *pos + 6)?;
-                            if !(0xDC00..=0xDFFF).contains(&low) {
-                                return Err(pair_err);
-                            }
-                            let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            out.push(char::from_u32(scalar).expect(
-                                "why: a combined surrogate pair always lands in a valid plane",
-                            ));
-                            *pos += 10;
-                        } else {
-                            let c = char::from_u32(code).ok_or(ProtocolError::Malformed {
-                                pos: *pos,
-                                what: "a \\u high surrogate before a low surrogate",
-                            })?;
-                            out.push(c);
-                            *pos += 4;
-                        }
-                    }
-                    _ => {
-                        return Err(ProtocolError::Malformed {
-                            pos: *pos,
-                            what: "a valid escape character",
-                        })
-                    }
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one full UTF-8 character from the source.
-                let rest = &line[*pos..];
-                let c = rest
-                    .chars()
-                    .next()
-                    .expect("why: peek returned Some, so the slice is non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-/// Reads the four hex digits of a `\uXXXX` escape; `pos_of_u` is the
-/// byte offset of the `u`.
-fn parse_hex4(line: &str, pos_of_u: usize) -> Result<u32, ProtocolError> {
-    let err = ProtocolError::Malformed {
-        pos: pos_of_u,
-        what: "four hex digits after \\u",
+    let malformed = |pos, what| ProtocolError::Malformed { pos, what };
+    let Value::Obj(entries) = json::parse(line).map_err(|e| malformed(e.pos, e.what))? else {
+        return Err(malformed(0, "an object"));
     };
-    let hex = line.get(pos_of_u + 1..pos_of_u + 5).ok_or(err.clone())?;
-    if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        // from_str_radix would accept a sign here; JSON does not.
-        return Err(err);
-    }
-    u32::from_str_radix(hex, 16).map_err(|_| err)
+    entries
+        .into_iter()
+        .map(|(name, value)| {
+            let scalar = match value {
+                Value::Str(s) => Scalar::Str(s.into_owned()),
+                num @ Value::Num(raw) => Scalar::Num(num.as_u64().ok_or_else(|| {
+                    // `raw` borrows from `line`: its address gives the offset.
+                    malformed(
+                        raw.as_ptr() as usize - line.as_ptr() as usize,
+                        "a number fitting u64",
+                    )
+                })?),
+                Value::Bool(b) => Scalar::Bool(b),
+                Value::Null => Scalar::Null,
+                Value::Arr(_) | Value::Obj(_) => {
+                    return Err(malformed(0, "a string, number, boolean, or null"))
+                }
+            };
+            Ok((name.into_owned(), scalar))
+        })
+        .collect()
 }
 
 /// The required string field `name` from a parsed flat object.

@@ -528,6 +528,21 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_entries_are_skipped_not_a_stack_overflow() {
+        let dir = tmp_dir("nested");
+        fs::create_dir_all(&dir).unwrap();
+        let deep = "[".repeat(1_000_000);
+        fs::write(dir.join(format!("00dd{TOWER_SUFFIX}")), &deep).unwrap();
+        fs::write(dir.join(format!("00dd{CKPT_SUFFIX}")), &deep).unwrap();
+        let store = TowerStore::open(&dir).unwrap();
+        assert!(store.is_empty());
+        assert_eq!(store.get("00dd").unwrap(), None);
+        assert_eq!(store.load_checkpoint("00dd").unwrap(), None);
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn version_mismatched_entries_are_not_admitted() {
         let dir = tmp_dir("version");
         {

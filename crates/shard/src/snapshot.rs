@@ -19,6 +19,8 @@
 
 use std::fmt;
 
+use lcl_obs::json;
+
 /// Serialization version; bump whenever [`ShardSnapshot::to_json`]
 /// changes shape. Readers reject every other version with
 /// [`ShardSnapshotError::Version`].
@@ -117,13 +119,6 @@ impl ShardSnapshot {
     /// [`ShardSnapshotError`] describing the first malformation, missing
     /// or duplicate field, or version mismatch.
     pub fn parse(text: &str) -> Result<Self, ShardSnapshotError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        p.expect(b'{', "'{'")?;
-        let mut fields: [Option<u64>; 8] = [None; 8];
         const KEYS: [&str; 8] = [
             "version",
             "shard",
@@ -134,33 +129,27 @@ impl ShardSnapshot {
             "halo_messages",
             "halo_bytes",
         ];
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
+        let doc = json::parse(text).map_err(|e| ShardSnapshotError::Json {
+            pos: e.pos,
+            what: e.what,
+        })?;
+        let entries = doc.as_obj().ok_or(ShardSnapshotError::Json {
+            pos: 0,
+            what: "an object",
+        })?;
+        let mut fields: [Option<u64>; 8] = [None; 8];
+        for (key, value) in entries {
             let slot = KEYS
                 .iter()
-                .position(|k| *k == key)
+                .position(|k| k == key)
                 .ok_or(ShardSnapshotError::Invalid("unknown snapshot field"))?;
             if fields[slot].is_some() {
                 return Err(ShardSnapshotError::Invalid("duplicate snapshot field"));
             }
-            p.skip_ws();
-            p.expect(b':', "':'")?;
-            p.skip_ws();
-            fields[slot] = Some(p.number()?);
-            p.skip_ws();
-            if p.eat(b',') {
-                continue;
-            }
-            p.expect(b'}', "',' or '}'")?;
-            break;
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(ShardSnapshotError::Json {
-                pos: p.pos,
-                what: "end of document",
-            });
+            fields[slot] = Some(value.as_u64().ok_or(ShardSnapshotError::Json {
+                pos: 0,
+                what: "an unsigned integer",
+            })?);
         }
         if let Some(found) = fields[0].filter(|&v| v != SHARD_SNAPSHOT_VERSION) {
             return Err(ShardSnapshotError::Version {
@@ -186,87 +175,6 @@ impl ShardSnapshot {
             return Err(ShardSnapshotError::Invalid("more live nodes than owned"));
         }
         Ok(snapshot)
-    }
-}
-
-/// Minimal scanner for the flat all-integer object [`ShardSnapshot`]
-/// serializes to; byte positions feed [`ShardSnapshotError::Json`].
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), ShardSnapshotError> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(ShardSnapshotError::Json {
-                pos: self.pos,
-                what,
-            })
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ShardSnapshotError> {
-        self.expect(b'"', "'\"'")?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| ShardSnapshotError::Json {
-                        pos: start,
-                        what: "UTF-8 key",
-                    })?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(ShardSnapshotError::Json {
-            pos: self.pos,
-            what: "closing '\"'",
-        })
-    }
-
-    fn number(&mut self) -> Result<u64, ShardSnapshotError> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(ShardSnapshotError::Json {
-                pos: self.pos,
-                what: "unsigned integer",
-            });
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or(ShardSnapshotError::Json {
-                pos: start,
-                what: "u64 in range",
-            })
     }
 }
 
@@ -320,7 +228,7 @@ mod tests {
         match err {
             ShardSnapshotError::Json { pos, what } => {
                 assert_eq!(pos, 12);
-                assert_eq!(what, "unsigned integer");
+                assert_eq!(what, "a JSON value");
             }
             other => panic!("expected Json error, got {other:?}"),
         }

@@ -95,20 +95,12 @@ echo "== bench-diff (baseline schema + self-diff gate) =="
 # whenever the report under test was measured with >= 8 threads; on
 # smaller hosts (like a 1-core CI runner) the floor is noted, not
 # gated, because no parallel speedup is physically possible there.
-cargo run -q --release -p lcl-bench --bin bench-diff -- --check-schema BENCH_obs.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- BENCH_obs.json BENCH_obs.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- --check-schema BENCH_re_engine.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- BENCH_re_engine.json BENCH_re_engine.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- --check-schema BENCH_recover.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- BENCH_recover.json BENCH_recover.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- --check-schema BENCH_service.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- BENCH_service.json BENCH_service.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- --check-schema BENCH_curves.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- BENCH_curves.json BENCH_curves.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- --check-schema BENCH_shard.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- BENCH_shard.json BENCH_shard.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- --check-schema BENCH_procshard.json
-cargo run -q --release -p lcl-bench --bin bench-diff -- BENCH_procshard.json BENCH_procshard.json
+# Every BENCH_*.json at the root is gated, so a new baseline needs no
+# edit here.
+for baseline in BENCH_*.json; do
+  cargo run -q --release -p lcl-bench --bin bench-diff -- --check-schema "$baseline"
+  cargo run -q --release -p lcl-bench --bin bench-diff -- "$baseline" "$baseline"
+done
 
 echo "== wall-clock gate (cost model and curve fits are count-derived) =="
 # The asymptotic-regression gate only works because its inputs are

@@ -20,14 +20,14 @@
 //! The last test is a property, not a golden file: every Chrome slice
 //! must nest inside an earlier slice's interval (Perfetto renders
 //! overlapping same-thread slices as garbage), checked by parsing the
-//! export with the `lcl_bench::json` reader.
+//! export with the workspace's JSON codec (`lcl_obs::json`).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use lcl_bench::json::{parse, JsonValue};
 use lcl_landscape::core::{tree_speedup_logged, ReOptions, SpeedupOptions};
 use lcl_landscape::obs::export::{chrome_trace, folded_stacks, prometheus_text, ExportMode};
+use lcl_landscape::obs::json::{parse, Value};
 use lcl_landscape::obs::{Counter, Event, EventLog, Registry, Span, SpanRecord, Trace};
 use lcl_landscape::problems::catalog::anti_matching;
 
@@ -160,20 +160,21 @@ fn e1_tree_speedup_folded_stacks_match_golden() {
 fn chrome_slices_nest_within_their_parents() {
     let (trace, log) = e1_speedup();
     for mode in [ExportMode::Deterministic, ExportMode::Wall] {
-        let doc = parse(&chrome_trace(&trace, Some(&log), mode)).expect("export parses as JSON");
+        let text = chrome_trace(&trace, Some(&log), mode);
+        let doc = parse(&text).expect("export parses as JSON");
         let events = doc
             .get("traceEvents")
-            .and_then(JsonValue::as_arr)
+            .and_then(Value::as_arr)
             .expect("traceEvents array");
-        let field = |e: &JsonValue, key: &str| -> u64 {
+        let field = |e: &Value, key: &str| -> u64 {
             e.get(key)
-                .and_then(JsonValue::as_num)
+                .and_then(Value::as_num)
                 .and_then(|raw| raw.parse().ok())
                 .unwrap_or_else(|| panic!("numeric '{key}' in {e:?}"))
         };
         let slices: Vec<(u64, u64)> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
             .map(|e| (field(e, "ts"), field(e, "ts") + field(e, "dur")))
             .collect();
         assert!(slices.len() >= 3, "expected a multi-span trace");
@@ -185,7 +186,7 @@ fn chrome_slices_nest_within_their_parents() {
             );
         }
         for e in events {
-            if e.get("ph").and_then(JsonValue::as_str) == Some("i") {
+            if e.get("ph").and_then(Value::as_str) == Some("i") {
                 let ts = field(e, "ts");
                 assert!(
                     (root_start..=root_end).contains(&ts),
