@@ -3,7 +3,7 @@
 //! E5–E10, printing one aligned table per artifact. See `EXPERIMENTS.md`
 //! for the paper-vs-measured discussion.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let t0 = std::time::Instant::now();
     println!("LCL landscape — reproducing Figure 1 and the gap theorems");
     println!("(paper: The Landscape of Distributed Complexities on Trees and Beyond, PODC 2022)");
@@ -23,9 +23,10 @@ fn main() {
     lcl_bench::gaps::unoriented_grids().print();
     lcl_bench::gaps::lemma33_cases().print();
 
-    lcl_bench::re_engine::re_engine().print();
-    lcl_bench::obs_report::obs_report().print();
-    lcl_bench::curves::curves_report().print();
+    lcl_bench::re_engine::re_engine()?.print();
+    lcl_bench::obs_report::obs_report()?.print();
+    lcl_bench::curves::curves_report()?.print();
 
     println!("\nall experiments completed in {:.1?}", t0.elapsed());
+    Ok(())
 }

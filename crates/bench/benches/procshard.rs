@@ -4,6 +4,7 @@
 //! `BENCH_procshard.json`. Needs `target/release/shard-worker`: run
 //! `cargo build --release` first.
 
-fn main() {
-    lcl_bench::procshard_report::procshard_report().print();
+fn main() -> std::io::Result<()> {
+    lcl_bench::procshard_report::procshard_report()?.print();
+    Ok(())
 }

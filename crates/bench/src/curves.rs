@@ -8,10 +8,10 @@
 //! from the [`lcl_obs::CostModel`] of an event-logged run (rounds for
 //! LOCAL, max probes for VOLUME — never wall clock), fits the series
 //! against every candidate shape in [`CANDIDATES`] by ordinary least
-//! squares, and records the winner with its R². The emitted file carries
-//! no wall-time keys at all, so the `bench-diff` curves gate
-//! ([`crate::diff::Schema::Curves`]) is immune to machine noise: it
-//! fails only when a *fitted asymptotic class* flips or an R² falls
+//! squares, and records the winner with its R². The emitted report holds
+//! every panel under `fits` and nothing under `walls`, so the
+//! `bench-diff` gate ([`crate::diff`]) is immune to machine noise here:
+//! it fails only when a *fitted asymptotic class* flips or an R² falls
 //! under the floor — i.e. when the measured landscape itself moved.
 //!
 //! Counts are bit-identical across thread counts and hosts (see
@@ -28,6 +28,7 @@ use lcl_problems::cv::{orientation_inputs, ColeVishkin, Orientation};
 use lcl_problems::{anti_matching, rake_compress_rounds};
 
 use crate::cells;
+use crate::report::{Json, Report};
 use crate::table::Table;
 use crate::volume_algos::{ConstProbe, TwoColorProbes};
 
@@ -339,53 +340,33 @@ pub fn collect_panels() -> Vec<Panel> {
     ]
 }
 
-fn push_u64s(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-/// Renders the panels as the `BENCH_curves.json` document. Floats are
-/// printed with fixed precision so the file is byte-stable; there are
-/// deliberately no wall-clock keys anywhere in the schema.
-pub fn curves_json(panels: &[Panel]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"curves\",\n  \"panels\": {\n");
-    for (i, p) in panels.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\n      \"fitted_class\": \"{}\",\n      \"r2\": {:.6},\n      \"ns\": ",
-            p.name, p.fit.class, p.fit.r2
-        ));
-        push_u64s(&mut out, &p.ns);
-        out.push_str(",\n      \"counts\": ");
-        push_u64s(&mut out, &p.counts);
+/// The panels as the `fits` section of `BENCH_curves.json`. Floats are
+/// printed with fixed precision so the file is byte-stable; the report
+/// has no walls.
+pub fn report(panels: &[Panel]) -> Report {
+    let ints = |values: &[u64]| Json::Arr(values.iter().map(Json::num).collect());
+    let fits = panels.iter().map(|p| {
+        let mut fit = vec![
+            ("fitted_class", Json::str(p.fit.class)),
+            ("r2", Json::fixed(p.fit.r2, 6)),
+            ("ns", ints(&p.ns)),
+            ("counts", ints(&p.counts)),
+        ];
         if let Some(avg) = &p.node_averaged {
-            out.push_str(",\n      \"node_averaged\": [");
-            for (j, v) in avg.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{v:.6}"));
-            }
-            out.push(']');
+            let avg = avg.iter().map(|&v| Json::fixed(v, 6)).collect();
+            fit.push(("node_averaged", Json::Arr(avg)));
         }
-        out.push_str("\n    }");
-        if i + 1 < panels.len() {
-            out.push(',');
-        }
-        out.push('\n');
+        (p.name, Json::obj(fit))
+    });
+    Report {
+        fits: Json::obj(fits),
+        ..Report::new("curves")
     }
-    out.push_str("  }\n}\n");
-    out
 }
 
-/// Runs every sweep, prints the fitted classes, and writes
-/// `BENCH_curves.json` at the repository root. Returns the table.
-pub fn curves_report() -> Table {
+/// Runs every sweep and writes `BENCH_curves.json` at the repository
+/// root. Returns the table of fitted classes, or the write error.
+pub fn curves_report() -> std::io::Result<Table> {
     let mut table = Table::new(
         "E11 — theory-vs-practice curves: fitted asymptotic class per panel",
         &["panel", "points", "fitted class", "r2", "counts"],
@@ -406,13 +387,8 @@ pub fn curves_report() -> Table {
             counts
         ));
     }
-    let json = curves_json(&panels);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_curves.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    table
+    report(&panels).write()?;
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -491,14 +467,15 @@ mod tests {
             vec![2, 2],
             Some(vec![1.5, 1.5]),
         )];
-        let json = curves_json(&panels);
+        let json = report(&panels).to_json();
         assert!(json.contains("\"bench\": \"curves\""));
         assert!(json.contains("\"fitted_class\": \"1\""));
         assert!(json.contains("\"node_averaged\": [1.500000, 1.500000]"));
-        // The schema carries no wall keys: machine noise cannot reach
-        // the curves gate.
-        assert!(!json.contains("wall"));
+        // Everything sits under `fits`; `walls` stays empty, so machine
+        // noise cannot reach the curves gate.
+        assert!(json.contains("\"walls\": {}"));
         let parsed = lcl_obs::json::parse(&json).expect("well-formed");
-        assert!(parsed.get("panels").is_some());
+        let fit = parsed.get("fits").and_then(|f| f.get("volume/const-probe"));
+        assert!(fit.is_some(), "{json}");
     }
 }

@@ -51,10 +51,13 @@
 //! Run everything with `cargo bench -p lcl-bench --bench figures`; the
 //! microbenchmarks of the hot paths live in `--bench micro`.
 //!
-//! The committed baselines are *gated*: the `bench-diff` binary
-//! ([`diff`], reading through [`lcl_obs::json`]) compares a fresh report against the committed
-//! one — counters bit-exact, wall times within tolerance — and exits
-//! nonzero on any regression. `scripts/check.sh` runs it.
+//! Every report is written through [`report`] in one shape,
+//! `{bench, counters, walls, fits}`, and the committed baselines are
+//! *gated*: the `bench-diff` binary ([`diff`], reading through
+//! [`lcl_obs::json`]) compares a fresh report against the committed one
+//! — counters and fitted classes bit-exact, walls recorded as notes
+//! only — and exits nonzero on any regression. `scripts/check.sh` runs
+//! it.
 
 pub mod chaos;
 pub mod curves;
@@ -66,6 +69,7 @@ pub mod obs_report;
 pub mod procshard_report;
 pub mod re_engine;
 pub mod recover_report;
+pub mod report;
 pub mod service_report;
 pub mod shard_report;
 pub mod shrink;

@@ -5,9 +5,10 @@
 //! radii), this module re-runs one representative stage per panel through
 //! the instrumented `simulate*` entrypoints and collects the full
 //! [`lcl_obs`] traces — per-level round-elimination spans, view/probe
-//! counters, message counts — into a [`Registry`]. The JSON is the
-//! registry's own rendering (spans nest as in the live run); wall-clock
-//! fields are the only nondeterministic quantities in the file.
+//! counters, message counts — into a [`Registry`]. The report holds each
+//! span tree without its wall times under `counters` (spans nest as in
+//! the live run) and the mirror tree of `wall_us` values under `walls`,
+//! the only nondeterministic quantities in the file.
 
 use lcl::OutLabel;
 use lcl_core::{tree_speedup_traced, SpeedupOptions};
@@ -21,6 +22,7 @@ use lcl_problems::{anti_matching, shortcut_path, ShortcutColoring};
 use lcl_volume::lca::VolumeAsLca;
 
 use crate::cells;
+use crate::report::Report;
 use crate::table::Table;
 use crate::volume_algos::{ConstProbe, CvProbeColoring, TwoColorProbes};
 
@@ -178,9 +180,9 @@ fn headline(trace: &Trace) -> String {
     "-".to_string()
 }
 
-/// Runs every panel stage instrumented, prints the per-stage summary, and
-/// writes `BENCH_obs.json` at the repository root. Returns the table.
-pub fn obs_report() -> Table {
+/// Runs every panel stage instrumented and writes `BENCH_obs.json` at the
+/// repository root. Returns the per-stage summary, or the write error.
+pub fn obs_report() -> std::io::Result<Table> {
     let mut table = Table::new(
         "OBS — per-stage execution traces for Figure 1 (E1–E4)",
         &["stage", "root span", "spans", "headline counter", "wall"],
@@ -196,13 +198,8 @@ pub fn obs_report() -> Table {
         ));
     }
 
-    let json = reg.to_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    table
+    Report::from_registry("obs", &reg).write()?;
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -219,8 +216,7 @@ mod tests {
                 "panel {panel} missing from {labels:?}"
             );
         }
-        let json = reg.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json = Report::from_registry("obs", &reg).to_json();
         assert!(json.contains("\"rounds\""));
         assert!(json.contains("\"max-probes\""));
     }

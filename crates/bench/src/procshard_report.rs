@@ -19,10 +19,9 @@
 //! parent directory (`target/release/shard-worker`), so run
 //! `cargo build --release` first — `scripts/check.sh` does.
 //!
-//! Only the `*_wall_ms` keys vary with the host; every other key is a
-//! deterministic counter.
+//! Only the `*_wall_ms` values vary with the host; they go under the
+//! report's `walls`, every other value is a deterministic counter.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use lcl::uniform_input;
@@ -35,6 +34,7 @@ use lcl_procshard::{run_proc_sharded, AlgSpec, GraphSpec, InputSpec, ProcJob, Pr
 use lcl_recover::RepairOptions;
 use lcl_shard::repair_sharded;
 
+use crate::report::{Json, Report};
 use crate::table::Table;
 
 /// Nodes in the clean scale run.
@@ -171,35 +171,35 @@ fn run_kill_chaos(numbers: &mut ProcShardNumbers) {
     numbers.certified = 1;
 }
 
-/// Renders the flat JSON document. Counters are seed-determined and
-/// diffed bit-exact; only the `*_wall_ms` keys are compared under
-/// tolerance.
-pub fn emit_json(n: &ProcShardNumbers) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"procshard\",");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"nodes\": {},", n.nodes);
-    let _ = writeln!(out, "  \"edges\": {},", n.edges);
-    let _ = writeln!(out, "  \"supersteps\": {},", n.supersteps);
-    let _ = writeln!(out, "  \"messages\": {},", n.messages);
-    let _ = writeln!(out, "  \"halo_messages\": {},", n.halo_messages);
-    let _ = writeln!(out, "  \"halo_bytes\": {},", n.halo_bytes);
-    let _ = writeln!(out, "  \"kills_injected\": {},", n.kills_injected);
-    let _ = writeln!(out, "  \"respawns\": {},", n.respawns);
-    let _ = writeln!(out, "  \"rehydrated_shards\": {},", n.rehydrated_shards);
-    let _ = writeln!(out, "  \"faults\": {},", n.faults);
-    let _ = writeln!(out, "  \"certified\": {},", n.certified);
-    let _ = writeln!(out, "  \"clean_wall_ms\": {:.1},", n.clean_wall_ms);
-    let _ = writeln!(out, "  \"chaos_wall_ms\": {:.1},", n.chaos_wall_ms);
-    let _ = writeln!(out, "  \"total_wall_ms\": {:.1}", n.total_wall_ms);
-    out.push_str("}\n");
-    out
+/// The report: seed-determined counters, and the phase walls.
+pub fn report(n: &ProcShardNumbers) -> Report {
+    Report {
+        counters: Json::obj([
+            ("shards", Json::num(SHARDS)),
+            ("nodes", Json::num(n.nodes)),
+            ("edges", Json::num(n.edges)),
+            ("supersteps", Json::num(n.supersteps)),
+            ("messages", Json::num(n.messages)),
+            ("halo_messages", Json::num(n.halo_messages)),
+            ("halo_bytes", Json::num(n.halo_bytes)),
+            ("kills_injected", Json::num(n.kills_injected)),
+            ("respawns", Json::num(n.respawns)),
+            ("rehydrated_shards", Json::num(n.rehydrated_shards)),
+            ("faults", Json::num(n.faults)),
+            ("certified", Json::num(n.certified)),
+        ]),
+        walls: Json::obj([
+            ("clean_wall_ms", Json::fixed(n.clean_wall_ms, 1)),
+            ("chaos_wall_ms", Json::fixed(n.chaos_wall_ms, 1)),
+            ("total_wall_ms", Json::fixed(n.total_wall_ms, 1)),
+        ]),
+        ..Report::new("procshard")
+    }
 }
 
-/// Runs both phases, prints the summary table, and writes
-/// `BENCH_procshard.json` at the repository root. Returns the table.
-pub fn procshard_report() -> Table {
+/// Runs both phases and writes `BENCH_procshard.json` at the repository
+/// root. Returns the summary table, or the write error.
+pub fn procshard_report() -> std::io::Result<Table> {
     let mut numbers = ProcShardNumbers {
         nodes: 0,
         edges: 0,
@@ -257,19 +257,14 @@ pub fn procshard_report() -> Table {
         format!("{:.1} ms", numbers.total_wall_ms)
     ));
 
-    let json = emit_json(&numbers);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_procshard.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    table
+    report(&numbers).write()?;
+    Ok(table)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::{check_schema, detect_schema, diff, DiffOptions, Schema};
+    use crate::diff::{check_schema, diff};
     use lcl_obs::json::parse;
 
     #[test]
@@ -290,10 +285,9 @@ mod tests {
             chaos_wall_ms: 80.2,
             total_wall_ms: 200.7,
         };
-        let text = emit_json(&numbers);
+        let text = report(&numbers).to_json();
         let doc = parse(&text).expect("emitted JSON parses");
-        assert_eq!(detect_schema(&doc), Schema::ProcShard);
-        assert!(check_schema(&doc, Schema::ProcShard).is_empty());
-        assert!(diff(&doc, &doc, DiffOptions::default()).is_clean());
+        assert!(check_schema(&doc).is_empty());
+        assert!(diff(&doc, &doc).is_clean());
     }
 }

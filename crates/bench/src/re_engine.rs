@@ -4,10 +4,10 @@
 //! interned label lookup against the linear scan it replaced, and writes
 //! everything to `BENCH_re_engine.json` at the repository root.
 //!
-//! The JSON is hand-rolled (the build environment is offline, so no
-//! serde); the schema is flat enough to diff between runs.
+//! Engine counters go under the report's `counters`, and every timing
+//! (tower walls, speedups, per-lookup nanoseconds) under its `walls`.
 
-use std::fmt::Write as _;
+use std::io;
 use std::time::{Duration, Instant};
 
 use lcl::{LclProblem, OutLabel};
@@ -15,6 +15,7 @@ use lcl_core::{ReOptions, ReTower};
 use lcl_problems::catalog::{anti_matching, k_coloring, sinkless_orientation};
 
 use crate::cells;
+use crate::report::{Json, Report};
 use crate::table::Table;
 
 /// One problem's tower build, measured.
@@ -175,96 +176,104 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "null".to_string()
-    }
+fn wall_ms(d: Duration) -> Json {
+    Json::fixed(ms(d), 4)
 }
 
-fn emit_json(
+/// The report: engine counters per problem and level under `counters`,
+/// and the mirror tree of their wall times, speedups and lookup timings
+/// under `walls`.
+fn report(
     reports: &[ProblemReport],
     sweep: &SweepReport,
     lookup: &LookupReport,
     threads: usize,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"re_engine\",");
-    let _ = writeln!(out, "  \"threads_available\": {threads},");
-    out.push_str("  \"problems\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(out, "      \"f_steps\": {},", r.steps);
-        let _ = writeln!(out, "      \"seq_wall_ms\": {},", json_f64(ms(r.seq_wall)));
-        let _ = writeln!(out, "      \"par_wall_ms\": {},", json_f64(ms(r.par_wall)));
-        let _ = writeln!(
-            out,
-            "      \"par_speedup\": {},",
-            json_f64(ms(r.seq_wall) / ms(r.par_wall))
-        );
-        let _ = writeln!(out, "      \"node_cache_hits\": {},", r.cache_hits);
-        let _ = writeln!(out, "      \"node_cache_misses\": {},", r.cache_misses);
-        out.push_str("      \"levels\": [\n");
-        for (j, (level, s)) in r.levels.iter().enumerate() {
-            let fixpoint = s.fixpoint_of.map_or("null".to_string(), |f| f.to_string());
-            let _ = write!(
-                out,
-                "        {{\"level\": {level}, \"labels_full\": {}, \"labels\": {}, \
-                 \"configurations\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-                 \"fixpoint_of\": {fixpoint}, \"wall_ms\": {}}}",
-                s.labels_full,
-                s.labels,
-                s.configurations,
-                s.cache_hits,
-                s.cache_misses,
-                json_f64(ms(s.wall))
-            );
-            out.push_str(if j + 1 < r.levels.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if i + 1 < reports.len() {
-            "    },\n"
-        } else {
-            "    }\n"
+) -> Report {
+    let problem_counters = reports.iter().map(|r| {
+        let levels = r.levels.iter().map(|(level, s)| {
+            Json::obj([
+                ("level", Json::num(level)),
+                ("labels_full", Json::num(s.labels_full)),
+                ("labels", Json::num(s.labels)),
+                ("configurations", Json::num(s.configurations)),
+                ("cache_hits", Json::num(s.cache_hits)),
+                ("cache_misses", Json::num(s.cache_misses)),
+                (
+                    "fixpoint_of",
+                    s.fixpoint_of.map_or(Json::Raw("null".into()), Json::num),
+                ),
+            ])
         });
+        Json::obj([
+            ("name", Json::str(&r.name)),
+            ("f_steps", Json::num(r.steps)),
+            ("node_cache_hits", Json::num(r.cache_hits)),
+            ("node_cache_misses", Json::num(r.cache_misses)),
+            ("levels", Json::Arr(levels.collect())),
+        ])
+    });
+    let problem_walls = reports.iter().map(|r| {
+        let levels = r
+            .levels
+            .iter()
+            .map(|(_, s)| Json::obj([("wall_ms", wall_ms(s.wall))]));
+        Json::obj([
+            ("seq_wall_ms", wall_ms(r.seq_wall)),
+            ("par_wall_ms", wall_ms(r.par_wall)),
+            (
+                "par_speedup",
+                Json::fixed(ms(r.seq_wall) / ms(r.par_wall), 4),
+            ),
+            ("levels", Json::Arr(levels.collect())),
+        ])
+    });
+    Report {
+        counters: Json::obj([
+            ("problems", Json::Arr(problem_counters.collect())),
+            (
+                "thread_sweep",
+                Json::obj([
+                    ("name", Json::str(sweep.name)),
+                    ("f_steps", Json::num(sweep.steps)),
+                ]),
+            ),
+            (
+                "label_lookup",
+                Json::obj([
+                    ("labels", Json::num(lookup.labels)),
+                    ("queries", Json::num(lookup.queries)),
+                ]),
+            ),
+        ]),
+        walls: Json::obj([
+            ("threads_available", Json::num(threads)),
+            ("problems", Json::Arr(problem_walls.collect())),
+            (
+                "thread_sweep",
+                Json::obj([
+                    ("seq_wall_ms", wall_ms(sweep.seq_wall)),
+                    ("wall_ms_t2", wall_ms(sweep.wall_t2)),
+                    ("par_wall_ms", wall_ms(sweep.wall_t8)),
+                    (
+                        "par_speedup",
+                        Json::fixed(ms(sweep.seq_wall) / ms(sweep.wall_t8), 4),
+                    ),
+                ]),
+            ),
+            (
+                "label_lookup",
+                Json::obj([
+                    ("interned_ns", Json::fixed(lookup.interned_ns, 4)),
+                    ("linear_scan_ns", Json::fixed(lookup.scan_ns, 4)),
+                    (
+                        "speedup",
+                        Json::fixed(lookup.scan_ns / lookup.interned_ns, 4),
+                    ),
+                ]),
+            ),
+        ]),
+        ..Report::new("re_engine")
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"thread_sweep\": {\n");
-    let _ = writeln!(out, "    \"name\": \"{}\",", sweep.name);
-    let _ = writeln!(out, "    \"f_steps\": {},", sweep.steps);
-    let _ = writeln!(
-        out,
-        "    \"seq_wall_ms\": {},",
-        json_f64(ms(sweep.seq_wall))
-    );
-    let _ = writeln!(out, "    \"wall_ms_t2\": {},", json_f64(ms(sweep.wall_t2)));
-    let _ = writeln!(out, "    \"par_wall_ms\": {},", json_f64(ms(sweep.wall_t8)));
-    let _ = writeln!(
-        out,
-        "    \"par_speedup\": {}",
-        json_f64(ms(sweep.seq_wall) / ms(sweep.wall_t8))
-    );
-    out.push_str("  },\n");
-    out.push_str("  \"label_lookup\": {\n");
-    let _ = writeln!(out, "    \"labels\": {},", lookup.labels);
-    let _ = writeln!(out, "    \"queries\": {},", lookup.queries);
-    let _ = writeln!(
-        out,
-        "    \"interned_ns\": {},",
-        json_f64(lookup.interned_ns)
-    );
-    let _ = writeln!(out, "    \"linear_scan_ns\": {},", json_f64(lookup.scan_ns));
-    let _ = writeln!(
-        out,
-        "    \"speedup\": {}",
-        json_f64(lookup.scan_ns / lookup.interned_ns)
-    );
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
 }
 
 /// The battery: problems whose towers build under default caps, chosen to
@@ -282,9 +291,9 @@ fn battery() -> Vec<(&'static str, LclProblem, usize)> {
     ]
 }
 
-/// Runs the engine benchmark, prints the per-level table, and writes
-/// `BENCH_re_engine.json` at the repository root. Returns the table.
-pub fn re_engine() -> Table {
+/// Runs the engine benchmark and writes `BENCH_re_engine.json` at the
+/// repository root. Returns the per-level table, or the write error.
+pub fn re_engine() -> io::Result<Table> {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut table = Table::new(
         "RE engine — interned, parallel tower construction",
@@ -364,13 +373,8 @@ pub fn re_engine() -> Table {
         )
     ));
 
-    let json = emit_json(&reports, &sweep, &lookup, threads);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_re_engine.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    table
+    report(&reports, &sweep, &lookup, threads).write()?;
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -413,25 +417,23 @@ mod tests {
             interned_ns: 50.0,
             scan_ns: 400.0,
         };
-        let json = emit_json(&[report], &sweep, &lookup, 4);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
-        );
+        let json = super::report(&[report], &sweep, &lookup, 4).to_json();
         assert!(json.contains("\"bench\": \"re_engine\""));
         assert!(json.contains("\"thread_sweep\""));
         assert!(json.contains("\"label_lookup\""));
         assert!(!json.contains("NaN") && !json.contains("inf"));
-        // The emitted report passes its own schema and self-diffs clean —
-        // the same fixed point the committed baseline must satisfy.
+        // The emitted report passes the shared schema and self-diffs
+        // clean — the same fixed point the committed baseline must
+        // satisfy.
         let doc = lcl_obs::json::parse(&json).expect("own report parses");
-        assert_eq!(
-            crate::diff::detect_schema(&doc),
-            crate::diff::Schema::ReEngine
-        );
-        let errors = crate::diff::check_schema(&doc, crate::diff::Schema::ReEngine);
+        let errors = crate::diff::check_schema(&doc);
         assert!(errors.is_empty(), "{errors:?}");
+        assert!(crate::diff::diff(&doc, &doc).is_clean());
+        let walls = doc.get("walls").and_then(|w| w.get("label_lookup"));
+        assert_eq!(
+            walls.and_then(|l| l.get("interned_ns")),
+            Some(&lcl_obs::json::Value::Num("50.0000"))
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! rounds, nodes patched). The R2 stage drives a round-elimination tower
 //! through [`supervise_tower`] under a deliberately tight budget, so the
 //! trace carries the checkpoint/retry counters of a real interrupted
-//! build. Every counter is deterministic; wall-clock fields are the only
-//! nondeterministic quantities in the file, exactly as in the other
+//! build. Every counter is deterministic; the `walls` section holds the
+//! only nondeterministic quantities in the file, exactly as in the other
 //! committed baselines the `bench-diff` gate checks.
 
 use lcl::{uniform_input, LclProblem, OutLabel};
@@ -30,6 +30,7 @@ use lcl_volume::lca::VolumeAsLca;
 use lcl_volume::{FnVolumeAlgorithm, ProbeError, ProbeSession};
 
 use crate::cells;
+use crate::report::Report;
 use crate::table::Table;
 
 /// Path LCL: endpoints label E, internal nodes I; X is never valid, so
@@ -246,9 +247,9 @@ fn counter(trace: &Trace, c: Counter) -> u64 {
     trace.root().get(c).unwrap_or(0)
 }
 
-/// Runs every recovery stage, prints the per-stage summary, and writes
-/// `BENCH_recover.json` at the repository root. Returns the table.
-pub fn recover_report() -> Table {
+/// Runs every recovery stage and writes `BENCH_recover.json` at the
+/// repository root. Returns the per-stage summary, or the write error.
+pub fn recover_report() -> std::io::Result<Table> {
     let mut table = Table::new(
         "RECOVER — certified repair and supervised-resume counters",
         &[
@@ -274,13 +275,8 @@ pub fn recover_report() -> Table {
         ));
     }
 
-    let json = reg.to_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recover.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    table
+    Report::from_registry("recover", &reg).write()?;
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -316,8 +312,7 @@ mod tests {
             .expect("supervisor trace recorded");
         assert!(counter(tower, Counter::Retries) >= 1);
         assert!(counter(tower, Counter::Checkpoints) >= 2);
-        let json = reg.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json = Report::from_registry("recover", &reg).to_json();
         assert!(json.contains("\"repairs\""));
         assert!(json.contains("\"checkpoints\""));
     }

@@ -17,10 +17,9 @@
 //!   planted checkpoint verifies kill-mid-job recovery: the resumed
 //!   build must fingerprint-match an uninterrupted one.
 //!
-//! Every counter above is seed-determined; only the `*_wall_*` keys and
-//! `throughput_rps` vary with the host and are diffed under tolerance.
+//! Every counter above is seed-determined; the host-dependent timings
+//! and `throughput_rps` go under the report's `walls`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,6 +32,7 @@ use lcl_service::{
     TowerStore,
 };
 
+use crate::report::{Json, Report};
 use crate::table::Table;
 
 /// Requests in the seeded mix.
@@ -252,60 +252,54 @@ fn run_resume_check(server: &ClassifyServer) -> ResumeOutcome {
     }
 }
 
-fn emit_json(
+fn report(
     mix: &MixOutcome,
     hit_wall_us: f64,
     resume: &ResumeOutcome,
     workers: usize,
     threads: usize,
-) -> String {
+) -> Report {
     let duplicates = (REQUESTS - UNIQUE) as u64;
     let served = mix.stats.cache_hits + mix.stats.coalesced;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"service\",");
-    let _ = writeln!(out, "  \"threads_available\": {threads},");
-    let _ = writeln!(out, "  \"workers\": {workers},");
-    let _ = writeln!(out, "  \"requests\": {REQUESTS},");
-    let _ = writeln!(out, "  \"unique_problems\": {UNIQUE},");
-    let _ = writeln!(out, "  \"computed\": {},", mix.stats.computed);
-    let _ = writeln!(out, "  \"served_from_cache\": {served},");
-    let _ = writeln!(
-        out,
-        "  \"dedup_permille\": {},",
-        served * 1000 / REQUESTS as u64
-    );
-    let _ = writeln!(out, "  \"store_entries\": {},", mix.store_entries);
-    let _ = writeln!(out, "  \"duplicates_in_mix\": {duplicates},");
-    let _ = writeln!(
-        out,
-        "  \"resumed_jobs\": {},",
-        u64::from(resume.resumed_from_level > 0)
-    );
-    let _ = writeln!(
-        out,
-        "  \"resume_fingerprint_match\": {},",
-        u64::from(resume.fingerprint_match)
-    );
-    let _ = writeln!(out, "  \"hit_wall_us\": {hit_wall_us:.1},");
-    let _ = writeln!(
-        out,
-        "  \"miss_wall_ms\": {:.3},",
-        mix.wall_ms / mix.stats.computed.max(1) as f64
-    );
-    let _ = writeln!(out, "  \"total_wall_ms\": {:.1},", mix.wall_ms);
-    let _ = writeln!(
-        out,
-        "  \"throughput_rps\": {:.1}",
-        REQUESTS as f64 * 1e3 / mix.wall_ms
-    );
-    out.push_str("}\n");
-    out
+    Report {
+        counters: Json::obj([
+            ("workers", Json::num(workers)),
+            ("requests", Json::num(REQUESTS)),
+            ("unique_problems", Json::num(UNIQUE)),
+            ("computed", Json::num(mix.stats.computed)),
+            ("served_from_cache", Json::num(served)),
+            ("dedup_permille", Json::num(served * 1000 / REQUESTS as u64)),
+            ("store_entries", Json::num(mix.store_entries)),
+            ("duplicates_in_mix", Json::num(duplicates)),
+            (
+                "resumed_jobs",
+                Json::num(u64::from(resume.resumed_from_level > 0)),
+            ),
+            (
+                "resume_fingerprint_match",
+                Json::num(u64::from(resume.fingerprint_match)),
+            ),
+        ]),
+        walls: Json::obj([
+            ("threads_available", Json::num(threads)),
+            ("hit_wall_us", Json::fixed(hit_wall_us, 1)),
+            (
+                "miss_wall_ms",
+                Json::fixed(mix.wall_ms / mix.stats.computed.max(1) as f64, 3),
+            ),
+            ("total_wall_ms", Json::fixed(mix.wall_ms, 1)),
+            (
+                "throughput_rps",
+                Json::fixed(REQUESTS as f64 * 1e3 / mix.wall_ms, 1),
+            ),
+        ]),
+        ..Report::new("service")
+    }
 }
 
-/// Runs the three service phases, prints the summary table, and writes
-/// `BENCH_service.json` at the repository root. Returns the table.
-pub fn service_report() -> Table {
+/// Runs the three service phases and writes `BENCH_service.json` at the
+/// repository root. Returns the summary table, or the write error.
+pub fn service_report() -> std::io::Result<Table> {
     let mut rng = SmallRng::seed_from_u64(SEED);
     let pool = problem_pool(&mut rng);
     let dir = std::env::temp_dir().join(format!("lcl-service-bench-{}", std::process::id()));
@@ -378,14 +372,9 @@ pub fn service_report() -> Table {
         )
     ));
 
-    let json = emit_json(&mix, hit_wall_us, &resume, workers, threads);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    let written = report(&mix, hit_wall_us, &resume, workers, threads).write();
     let _ = std::fs::remove_dir_all(&dir);
-    table
+    written.map(|()| table)
 }
 
 #[cfg(test)]

@@ -16,11 +16,10 @@
 //!   frontier repair — ending `Certified` with only frontier nodes
 //!   patched.
 //!
-//! Only `total_wall_ms` varies with the host; every other key is a
-//! deterministic counter.
+//! Only `total_wall_ms` varies with the host; it goes under the report's
+//! `walls`, every other value is a deterministic counter.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use lcl::{uniform_input, OutLabel};
@@ -33,6 +32,7 @@ use lcl_problems::anti_matching;
 use lcl_recover::RepairOptions;
 use lcl_shard::{repair_sharded, simulate_sharded_with};
 
+use crate::report::{Json, Report};
 use crate::table::Table;
 
 /// Nodes in the clean scale run.
@@ -227,34 +227,33 @@ fn run_chaos(numbers: &mut ShardNumbers) {
     numbers.certified = 1;
 }
 
-/// Renders the flat JSON document. Counters are seed-determined and
-/// diffed bit-exact; only `total_wall_ms` is compared under tolerance.
-pub fn emit_json(n: &ShardNumbers) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"shard\",");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"runner_threads\": {THREADS},");
-    let _ = writeln!(out, "  \"nodes\": {},", n.nodes);
-    let _ = writeln!(out, "  \"edges\": {},", n.edges);
-    let _ = writeln!(out, "  \"supersteps\": {},", n.supersteps);
-    let _ = writeln!(out, "  \"messages\": {},", n.messages);
-    let _ = writeln!(out, "  \"halo_messages\": {},", n.halo_messages);
-    let _ = writeln!(out, "  \"halo_bytes\": {},", n.halo_bytes);
-    let _ = writeln!(out, "  \"shards_crashed\": {},", n.shards_crashed);
-    let _ = writeln!(out, "  \"shards_rebuilt\": {},", n.shards_rebuilt);
-    let _ = writeln!(out, "  \"checkpoints\": {},", n.checkpoints);
-    let _ = writeln!(out, "  \"frontier_nodes\": {},", n.frontier_nodes);
-    let _ = writeln!(out, "  \"repaired_nodes\": {},", n.repaired_nodes);
-    let _ = writeln!(out, "  \"certified\": {},", n.certified);
-    let _ = writeln!(out, "  \"total_wall_ms\": {:.1}", n.total_wall_ms);
-    out.push_str("}\n");
-    out
+/// The report: seed-determined counters, and the total wall.
+pub fn report(n: &ShardNumbers) -> Report {
+    Report {
+        counters: Json::obj([
+            ("shards", Json::num(SHARDS)),
+            ("runner_threads", Json::num(THREADS)),
+            ("nodes", Json::num(n.nodes)),
+            ("edges", Json::num(n.edges)),
+            ("supersteps", Json::num(n.supersteps)),
+            ("messages", Json::num(n.messages)),
+            ("halo_messages", Json::num(n.halo_messages)),
+            ("halo_bytes", Json::num(n.halo_bytes)),
+            ("shards_crashed", Json::num(n.shards_crashed)),
+            ("shards_rebuilt", Json::num(n.shards_rebuilt)),
+            ("checkpoints", Json::num(n.checkpoints)),
+            ("frontier_nodes", Json::num(n.frontier_nodes)),
+            ("repaired_nodes", Json::num(n.repaired_nodes)),
+            ("certified", Json::num(n.certified)),
+        ]),
+        walls: Json::obj([("total_wall_ms", Json::fixed(n.total_wall_ms, 1))]),
+        ..Report::new("shard")
+    }
 }
 
-/// Runs both phases, prints the summary table, and writes
-/// `BENCH_shard.json` at the repository root. Returns the table.
-pub fn shard_report() -> Table {
+/// Runs both phases and writes `BENCH_shard.json` at the repository
+/// root. Returns the summary table, or the write error.
+pub fn shard_report() -> std::io::Result<Table> {
     let mut numbers = ShardNumbers {
         nodes: 0,
         edges: 0,
@@ -305,19 +304,14 @@ pub fn shard_report() -> Table {
         format!("{:.1} ms", numbers.total_wall_ms)
     ));
 
-    let json = emit_json(&numbers);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-    table
+    report(&numbers).write()?;
+    Ok(table)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::{check_schema, detect_schema, diff, DiffOptions, Schema};
+    use crate::diff::{check_schema, diff};
     use lcl_obs::json::parse;
 
     #[test]
@@ -337,11 +331,10 @@ mod tests {
             certified: 1,
             total_wall_ms: 12.5,
         };
-        let text = emit_json(&numbers);
+        let text = report(&numbers).to_json();
         let doc = parse(&text).expect("emitted JSON parses");
-        assert_eq!(detect_schema(&doc), Schema::Shard);
-        assert!(check_schema(&doc, Schema::Shard).is_empty());
-        assert!(diff(&doc, &doc, DiffOptions::default()).is_clean());
+        assert!(check_schema(&doc).is_empty());
+        assert!(diff(&doc, &doc).is_clean());
     }
 
     /// The chaos phase on a reduced instance: deterministic counters,

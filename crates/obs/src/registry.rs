@@ -1,12 +1,11 @@
 //! A thread-safe collection of labeled traces.
 //!
 //! The bench harness records one trace per pipeline stage into a
-//! [`Registry`] and serializes the whole collection to
-//! `BENCH_obs.json`; any long-lived process can do the same.
+//! [`Registry`] and writes the whole collection to `BENCH_obs.json`;
+//! any long-lived process can do the same.
 
 use std::sync::Mutex;
 
-use crate::json;
 use crate::trace::Trace;
 
 /// A labeled, append-only collection of [`Trace`]s.
@@ -53,37 +52,25 @@ impl Registry {
         self.traces().clone()
     }
 
-    /// Serializes every recorded trace as a JSON object keyed by its
-    /// `panel/stage` label, with the recording order kept as an
-    /// `"order"` field. Label-based keys make two registries diff
-    /// cleanly even when stages are recorded in a different order;
-    /// repeated labels are disambiguated with a `#2`, `#3`, ... suffix.
-    pub fn to_json(&self) -> String {
-        let traces = self.snapshot();
+    /// Clones out the recorded traces keyed for a JSON object: each
+    /// label as recorded, with repeated labels disambiguated by a `#2`,
+    /// `#3`, ... suffix. Label-based keys make two reports diff cleanly
+    /// even when stages are recorded in a different order.
+    pub fn keyed_snapshot(&self) -> Vec<(String, Trace)> {
         let mut used = std::collections::HashMap::new();
-        let mut out = String::from("{\n");
-        for (i, (label, trace)) in traces.iter().enumerate() {
-            let n = used.entry(label.clone()).or_insert(0u32);
-            *n += 1;
-            let key = if *n == 1 {
-                label.clone()
-            } else {
-                format!("{label}#{n}")
-            };
-            json::push_string(&mut out, &key);
-            out.push_str(": {\n");
-            out.push_str(&format!("\"order\": {i},\n"));
-            out.push_str("\"trace\":\n");
-            out.push_str(&trace.to_json());
-            out.truncate(out.trim_end_matches('\n').len());
-            out.push_str("\n}");
-            if i + 1 < traces.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("}\n");
-        out
+        self.snapshot()
+            .into_iter()
+            .map(|(label, trace)| {
+                let n = used.entry(label.clone()).or_insert(0u32);
+                *n += 1;
+                let key = if *n == 1 {
+                    label
+                } else {
+                    format!("{label}#{n}")
+                };
+                (key, trace)
+            })
+            .collect()
     }
 }
 
@@ -109,13 +96,12 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap[0].0, "e1/trees");
         assert_eq!(snap[1].0, "e4/volume");
-        let json = reg.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"e1/trees\""));
-        assert!(json.contains("\"e4/volume\""));
-        assert!(json.contains("\"order\": 0"));
-        assert!(json.contains("\"order\": 1"));
-        assert!(json.contains("\"rounds\": 9"));
+        let text = crate::export::prometheus_text(&reg);
+        assert!(text.contains("stage=\"e1/trees\""), "{text}");
+        assert!(
+            text.contains("stage=\"e4/volume\",span=\"probes\"} 9"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -123,22 +109,9 @@ mod tests {
         let reg = Registry::new();
         reg.record("e1/stage", tiny("first", 1));
         reg.record("e1/stage", tiny("second", 2));
-        let json = reg.to_json();
-        assert!(json.contains("\"e1/stage\""));
-        assert!(json.contains("\"e1/stage#2\""));
-    }
-
-    #[test]
-    fn control_characters_in_labels_round_trip_through_the_codec() {
-        let label = "line\nbreak\ttab\u{1}soh \"q\" back\\slash";
-        let reg = Registry::new();
-        reg.record(label, tiny("stage\r\u{1f}", 4));
-        let text = reg.to_json();
-        let doc = json::parse(&text).expect("registry dump is valid JSON");
-        let (key, entry) = &doc.as_obj().expect("an object")[0];
-        assert_eq!(key, label);
-        let name = entry.get("trace").and_then(|t| t.get("name"));
-        assert_eq!(name.and_then(json::Value::as_str), Some("stage\r\u{1f}"));
+        reg.record("e2/stage", tiny("third", 3));
+        let keys: Vec<String> = reg.keyed_snapshot().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["e1/stage", "e1/stage#2", "e2/stage"]);
     }
 
     #[test]
