@@ -1,7 +1,10 @@
 //! `cargo bench -p lcl-bench --bench figures` — regenerates every figure
-//! of the paper (Figure 1's four panels) and the theorem experiments
-//! E5–E10, printing one aligned table per artifact. See `EXPERIMENTS.md`
-//! for the paper-vs-measured discussion.
+//! of the paper (Figure 1's four panels), the theorem experiments
+//! E5–E13 and the RE engine report (the only producer of
+//! `BENCH_re_engine.json`), printing one aligned table per artifact.
+//! The other baselines each have their own bench (`--bench obs` writes
+//! `BENCH_obs.json`, `--bench curves` writes `BENCH_curves.json`, ...).
+//! See `EXPERIMENTS.md` for the paper-vs-measured discussion.
 
 fn main() -> std::io::Result<()> {
     let t0 = std::time::Instant::now();
@@ -24,8 +27,6 @@ fn main() -> std::io::Result<()> {
     lcl_bench::gaps::lemma33_cases().print();
 
     lcl_bench::re_engine::re_engine()?.print();
-    lcl_bench::obs_report::obs_report()?.print();
-    lcl_bench::curves::curves_report()?.print();
 
     println!("\nall experiments completed in {:.1?}", t0.elapsed());
     Ok(())

@@ -48,8 +48,11 @@
 //! * [`shrink::shrink_plan`] — the chaos-seed shrinker behind the
 //!   `shrink-chaos` binary (`scripts/shrink_chaos.sh`).
 //!
-//! Run everything with `cargo bench -p lcl-bench --bench figures`; the
-//! microbenchmarks of the hot paths live in `--bench micro`.
+//! `cargo bench -p lcl-bench` runs every bench, and each committed
+//! baseline has exactly one producer: `--bench figures` prints the
+//! paper's tables and writes `BENCH_re_engine.json`, and every other
+//! `BENCH_*.json` comes from the bench of its name. The microbenchmarks
+//! of the hot paths live in `--bench micro`.
 //!
 //! Every report is written through [`report`] in one shape,
 //! `{bench, counters, walls, fits}`, and the committed baselines are

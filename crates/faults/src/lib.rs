@@ -9,8 +9,9 @@
 //! * [`FaultPlan`] / [`Fault`] — a seeded, serializable schedule of
 //!   faults (crash-stop at a round, half-edge view corruption,
 //!   adversarial ID permutations, probe-answer lies, injected node
-//!   panics) consumed by the opt-in `simulate_*_faulted` entrypoints of
-//!   the `local`, `volume`, and `grid` crates.
+//!   panics), passed through [`RunOptions`] to the one executor of each
+//!   model in the `local`, `volume`, `grid`, `shard` and `procshard`
+//!   crates.
 //! * [`Budget`] / [`CancelToken`] / [`BudgetExceeded`] — resource caps
 //!   (derived-label count, round/level count, wall deadline, memory
 //!   estimate) with cooperative cancellation checked inside the
@@ -19,7 +20,8 @@
 //!   runaway computation.
 //! * [`isolate`] / [`NodeFault`] / [`Degraded`] — `catch_unwind`
 //!   wrappers that turn a panicking node algorithm into a typed,
-//!   per-node fault record. A faulted simulator run always ends in one
+//!   per-node fault record, which every executor files through
+//!   [`record_fault`]. A faulted simulator run always ends in one
 //!   of three ways: a valid output, a typed error, or a typed
 //!   degradation ([`Degraded`] with a non-empty fault list) — never a
 //!   process abort.
@@ -38,6 +40,6 @@ pub mod plan;
 pub mod run_options;
 
 pub use budget::{Breach, Budget, BudgetExceeded, CancelToken, InvalidConfig};
-pub use panic_guard::{inject_panic, isolate, Degraded, NodeFault};
+pub use panic_guard::{inject_panic, isolate, record_fault, Degraded, NodeFault};
 pub use plan::{Fault, FaultPlan, PlanIssue, PlanParseError};
 pub use run_options::RunOptions;

@@ -3,8 +3,9 @@
 //! A production simulator cannot let one faulty `LocalAlgorithm`
 //! implementation take down the process. [`isolate`] runs a node's
 //! algorithm invocation under `catch_unwind` and converts a panic into
-//! its payload string; the faulted executors wrap that into a
-//! [`NodeFault`] record and substitute placeholder output, so the run
+//! its payload string; an executor under a fault plan files that as a
+//! [`NodeFault`] record ([`record_fault`]) and substitutes placeholder
+//! output, so the run
 //! completes as a typed degradation ([`Degraded`]) instead of aborting.
 //!
 //! While an isolated closure runs, the default panic hook's backtrace
@@ -16,6 +17,8 @@ use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
+
+use lcl_obs::{Event, EventLog};
 
 thread_local! {
     static ISOLATING: Cell<bool> = const { Cell::new(false) };
@@ -95,6 +98,32 @@ impl fmt::Display for NodeFault {
 
 impl std::error::Error for NodeFault {}
 
+/// Records one node's fault: mirrors it into `log` (when one is
+/// attached) as an [`Event::Fault`] tagged `tag`, and appends the
+/// [`NodeFault`] to `faults`. Every executor records its faults here,
+/// so a run's fault list and its event stream cannot disagree.
+pub fn record_fault(
+    faults: &mut Vec<NodeFault>,
+    log: Option<&EventLog>,
+    node: u64,
+    round: u64,
+    tag: &'static str,
+    payload: String,
+) {
+    if let Some(log) = log {
+        log.record(Event::Fault {
+            node,
+            round,
+            fault: tag,
+        });
+    }
+    faults.push(NodeFault {
+        node,
+        round,
+        payload,
+    });
+}
+
 /// A faulted run's result: the (possibly partial) outcome plus every
 /// [`NodeFault`] recorded along the way. An empty fault list means the
 /// plan didn't bite and the outcome is a normal, fully valid result.
@@ -124,6 +153,44 @@ impl<T> Degraded<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn record_fault_mirrors_into_the_log_when_one_is_attached() {
+        let mut faults = Vec::new();
+        record_fault(&mut faults, None, 3, 1, "panic", "boom".into());
+        let log = EventLog::new(8);
+        record_fault(
+            &mut faults,
+            Some(&log),
+            4,
+            2,
+            "crash-stop",
+            "crash-stop".into(),
+        );
+        assert_eq!(
+            faults,
+            vec![
+                NodeFault {
+                    node: 3,
+                    round: 1,
+                    payload: "boom".into(),
+                },
+                NodeFault {
+                    node: 4,
+                    round: 2,
+                    payload: "crash-stop".into(),
+                },
+            ]
+        );
+        assert_eq!(
+            log.events(),
+            vec![Event::Fault {
+                node: 4,
+                round: 2,
+                fault: "crash-stop",
+            }]
+        );
+    }
 
     #[test]
     fn isolate_passes_values_through() {

@@ -1,8 +1,8 @@
 //! Seeded, serializable fault schedules.
 //!
 //! A [`FaultPlan`] is the unit of chaos: a list of [`Fault`]s plus a
-//! seed, applied deterministically by the `simulate_*_faulted`
-//! entrypoints. Plans serialize to a line-oriented text format
+//! seed, applied deterministically by each model's executor when passed
+//! through [`RunOptions::faults`](crate::RunOptions::faults). Plans serialize to a line-oriented text format
 //! ([`FaultPlan::to_text`] / [`FaultPlan::parse`]) so an interesting
 //! plan found by the chaos soak can be committed verbatim into a
 //! regression test or an EXPERIMENTS.md recipe.

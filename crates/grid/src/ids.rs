@@ -2,6 +2,9 @@
 //! (Definition 5.2): node `u` holds identifiers `id_1(u), ..., id_d(u)`,
 //! and `id_i(u) = id_i(v)` iff `u` and `v` share the `i`-th coordinate.
 
+use std::borrow::Cow;
+
+use lcl_faults::FaultPlan;
 use lcl_rng::SmallRng;
 
 use lcl_graph::NodeId;
@@ -115,6 +118,22 @@ impl ProdIds {
         Self::from_tables(per_dim)
     }
 
+    /// The assignment a run under `plan` sees: each dimension's table
+    /// [`permuted`](Self::permuted) by the plan's adversarial permutation
+    /// of its length when the plan asks for one, else `self` unchanged.
+    pub fn under(&self, plan: Option<&FaultPlan>) -> Cow<'_, Self> {
+        let perms: Option<Vec<Vec<usize>>> = plan.and_then(|p| {
+            self.per_dim
+                .iter()
+                .map(|row| p.permutation(row.len()))
+                .collect()
+        });
+        match perms {
+            Some(perms) => Cow::Owned(self.permuted(&perms)),
+            None => Cow::Borrowed(self),
+        }
+    }
+
     /// A fresh assignment with the same global relative order of all
     /// identifiers but different values (for order-invariance checks).
     pub fn resample_order_preserving(&self, seed: u64) -> Self {
@@ -168,6 +187,24 @@ impl ProdIds {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_plan_permutes_each_dimension_only_when_it_asks_to() {
+        let grid = OrientedGrid::new(&[3, 5]);
+        let ids = ProdIds::sequential(&grid);
+        assert!(matches!(ids.under(None), Cow::Borrowed(_)));
+        assert!(matches!(
+            ids.under(Some(&FaultPlan::new(4))),
+            Cow::Borrowed(_)
+        ));
+        let shuffle = FaultPlan::new(4).with_permuted_ids();
+        let perms: Vec<Vec<usize>> = grid
+            .dims()
+            .iter()
+            .map(|&s| shuffle.permutation(s).expect("asked for"))
+            .collect();
+        assert_eq!(*ids.under(Some(&shuffle)), ids.permuted(&perms));
+    }
 
     #[test]
     fn sequential_ids_are_per_coordinate() {

@@ -30,7 +30,6 @@
 //! assert_eq!(grid.coords(v), vec![2, 3]);
 //! ```
 
-pub mod faulted;
 pub mod grid;
 pub mod ids;
 pub mod run;

@@ -1,7 +1,8 @@
 //! Executing PROD-LOCAL algorithms on oriented grids.
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
-use lcl_obs::{Counter, Event, EventLog, RunReport, Span, Trace};
+use lcl_faults::{inject_panic, isolate, plan::perturb, record_fault, Degraded, RunOptions};
+use lcl_obs::{Counter, Event, RunReport, Span, Trace};
 
 use crate::grid::OrientedGrid;
 use crate::ids::ProdIds;
@@ -47,7 +48,7 @@ pub struct ProdRun {
     pub radius: u32,
 }
 
-pub(crate) fn build_view(
+fn build_view(
     grid: &OrientedGrid,
     input: &HalfEdgeLabeling<InLabel>,
     ids: &ProdIds,
@@ -99,69 +100,117 @@ pub(crate) fn build_view(
     }
 }
 
-/// Runs a PROD-LOCAL algorithm under
-/// [`RunOptions`](lcl_faults::RunOptions): optional event capture,
-/// optional fault plan. With a fault plan the run is the degrading
-/// executor of [`crate::faulted`]; without one the outcome is
-/// [`Degraded::clean`](lcl_faults::Degraded::clean) and bit-identical to
-/// the plain run. Budgets have no dimension that applies to view-based
-/// PROD-LOCAL runs and are ignored here.
+/// Runs a PROD-LOCAL algorithm under [`RunOptions`]: optional event
+/// capture, optional fault plan, through one per-cell loop. Budgets have
+/// no dimension that applies to view-based PROD-LOCAL runs and are
+/// ignored here.
+///
+/// A fault plan decides three things, each a no-op without one:
+///
+/// * **The ids the run sees** — each dimension's slice-identifier table
+///   may be reshuffled ([`ProdIds::under`]), exploring Definition 5.2's
+///   quantifier over assignments.
+/// * **Per-cell injection** — a crash-stop at a round `≤ T` means the
+///   cell cannot collect its radius-`T` box (a later crash never bites);
+///   view corruption XOR-perturbs the slice identifiers in the cell's
+///   window, its own coordinates excepted, and the cell still answers,
+///   possibly incorrectly; an injected panic.
+/// * **What a failing cell costs** — under a plan the cell's call is
+///   panic-isolated, and a crash, panic or wrong arity becomes a typed
+///   [`NodeFault`](lcl_faults::NodeFault) (view-based, so at round 0)
+///   plus placeholder labels. Without one the outcome is
+///   [`Degraded::clean`].
+///
+/// # Panics
+///
+/// Without a fault plan, if the algorithm panics or labels the wrong
+/// number of ports.
 pub fn simulate_with(
     alg: &(impl ProdLocalAlgorithm + ?Sized),
     grid: &OrientedGrid,
     input: &HalfEdgeLabeling<InLabel>,
     ids: &ProdIds,
     n_announced: Option<usize>,
-    opts: lcl_faults::RunOptions<'_>,
-) -> RunReport<lcl_faults::Degraded<ProdRun>> {
-    match opts.fault_plan() {
-        Some(plan) => crate::faulted::simulate_prod_faulted_impl(
-            alg,
-            grid,
-            input,
-            ids,
-            n_announced,
-            plan,
-            opts.event_log(),
-        ),
-        None => simulate_impl(alg, grid, input, ids, n_announced, opts.event_log())
-            .map(lcl_faults::Degraded::clean),
-    }
-}
-
-pub(crate) fn simulate_impl(
-    alg: &(impl ProdLocalAlgorithm + ?Sized),
-    grid: &OrientedGrid,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &ProdIds,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> RunReport<ProdRun> {
+    opts: RunOptions<'_>,
+) -> RunReport<Degraded<ProdRun>> {
+    let (plan, log) = (opts.fault_plan(), opts.event_log());
+    let ids = ids.under(plan);
     let n = n_announced.unwrap_or_else(|| grid.node_count());
     let radius = alg.radius(n);
-    let mut span = Span::start(format!("prod-local/{}", alg.name()));
+    let mut span = Span::start(match plan {
+        Some(_) => format!("prod-local/faulted/{}", alg.name()),
+        None => format!("prod-local/{}", alg.name()),
+    });
     let d = grid.dimension_count();
     let window = (2 * radius as u64 + 1).pow(d as u32);
     let mut view_nodes = 0u64;
+    let mut faults = Vec::new();
     let output = HalfEdgeLabeling::from_node_fn(grid.graph(), |v| {
-        let view = build_view(grid, input, ids, v, radius, n);
+        let node = v.index() as u64;
+        let crashed = plan.and_then(|p| p.crash_round(v.index()));
+        if crashed.is_some_and(|r| r <= radius) {
+            record_fault(&mut faults, log, node, 0, "crash-stop", "crash-stop".into());
+            return vec![OutLabel(0); 2 * d];
+        }
+        let mut view = build_view(grid, input, &ids, v, radius, n);
         view_nodes += window;
         span.observe(Counter::ViewNodes, window);
         if let Some(log) = log {
             log.record(Event::ViewMaterialized {
-                node: v.index() as u64,
+                node,
                 radius: u64::from(radius),
                 size: window,
             });
         }
-        let labels = alg.label(&view);
-        assert_eq!(
-            labels.len(),
-            2 * d,
-            "algorithm {} must label all 2d ports",
-            alg.name()
-        );
-        labels
+        if let Some(salt) = plan.and_then(|p| p.corrupt_salt(v.index())) {
+            if let Some(log) = log {
+                log.record(Event::Fault {
+                    node,
+                    round: 0,
+                    fault: "corrupt-view",
+                });
+            }
+            // The cell still knows its own slice identifiers (offset 0 in
+            // every dimension, index `radius`); the rest of the window is
+            // the adversary's to rewrite.
+            let t = radius as usize;
+            let mut word = 0u64;
+            for row in view.ids.iter_mut() {
+                for (i, id) in row.iter_mut().enumerate() {
+                    if i != t {
+                        *id ^= perturb(salt, word);
+                    }
+                    word += 1;
+                }
+            }
+        }
+        let Some(plan) = plan else {
+            let labels = alg.label(&view);
+            assert_eq!(
+                labels.len(),
+                2 * d,
+                "algorithm {} must label all 2d ports",
+                alg.name()
+            );
+            return labels;
+        };
+        let labels = if plan.panics(v.index()) {
+            isolate(|| inject_panic(node))
+        } else {
+            isolate(|| alg.label(&view))
+        };
+        match labels {
+            Ok(labels) if labels.len() == 2 * d => labels,
+            Ok(labels) => {
+                let payload = format!("returned {} labels for {} ports", labels.len(), 2 * d);
+                record_fault(&mut faults, log, node, 0, "wrong-arity", payload);
+                vec![OutLabel(0); 2 * d]
+            }
+            Err(payload) => {
+                record_fault(&mut faults, log, node, 0, "panic", payload);
+                vec![OutLabel(0); 2 * d]
+            }
+        }
     });
     span.set(Counter::Nodes, grid.node_count() as u64);
     span.set(Counter::Edges, grid.graph().edge_count() as u64);
@@ -169,7 +218,14 @@ pub(crate) fn simulate_impl(
     span.set(Counter::Radius, u64::from(radius));
     span.set(Counter::Rounds, u64::from(radius));
     span.set(Counter::ViewNodes, view_nodes);
-    RunReport::new(ProdRun { output, radius }, Trace::new(span.finish()))
+    if plan.is_some() {
+        span.set(Counter::Faults, faults.len() as u64);
+    }
+    let degraded = Degraded {
+        outcome: ProdRun { output, radius },
+        faults,
+    };
+    RunReport::new(degraded, Trace::new(span.finish()))
 }
 
 /// Runs a PROD-LOCAL algorithm on an oriented grid, discarding the trace.
@@ -184,7 +240,9 @@ pub fn run_prod_local(
     ids: &ProdIds,
     n_announced: Option<usize>,
 ) -> ProdRun {
-    simulate_impl(alg, grid, input, ids, n_announced, None).outcome
+    simulate_with(alg, grid, input, ids, n_announced, RunOptions::new())
+        .outcome
+        .outcome
 }
 
 /// Runs an order-invariant PROD-LOCAL algorithm (the identifiers only
@@ -285,6 +343,8 @@ impl<R, F> std::fmt::Debug for FnProdAlgorithm<R, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_faults::{Fault, FaultPlan};
+    use lcl_obs::EventLog;
 
     #[test]
     fn views_carry_slice_ids() {
@@ -386,12 +446,12 @@ mod tests {
         let ids = ProdIds::sequential(&grid);
         let input = lcl::uniform_input(grid.graph());
         let alg = FnProdAlgorithm::new("const", |_| 1, |view| vec![OutLabel(0); 2 * view.d]);
-        let report = simulate_impl(&alg, &grid, &input, &ids, None, None);
+        let report = simulate_with(&alg, &grid, &input, &ids, None, RunOptions::new());
         assert_eq!(report.trace.total(Counter::Nodes), 20);
         assert_eq!(report.trace.total(Counter::Radius), 1);
         // Each radius-1 window on a 2-torus has 3^2 = 9 nodes.
         assert_eq!(report.trace.total(Counter::ViewNodes), 20 * 9);
-        assert_eq!(report.outcome.radius, 1);
+        assert_eq!(report.outcome.outcome.radius, 1);
     }
 
     #[test]
@@ -402,7 +462,14 @@ mod tests {
         let input = lcl::uniform_input(grid.graph());
         let alg = FnProdAlgorithm::new("const", |_| 1, |view| vec![OutLabel(0); 2 * view.d]);
         let log = EventLog::new(64);
-        let report = simulate_impl(&alg, &grid, &input, &ids, None, Some(&log));
+        let report = simulate_with(
+            &alg,
+            &grid,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().events(&log),
+        );
         let events = log.events();
         assert_eq!(events.len(), 20);
         assert_eq!(
@@ -424,7 +491,6 @@ mod tests {
 
     #[test]
     fn cost_model_matches_window_counters() {
-        use lcl_faults::RunOptions;
         use lcl_obs::{CostKind, EventLog};
         let grid = OrientedGrid::new(&[4, 5]);
         let ids = ProdIds::sequential(&grid);
@@ -486,5 +552,154 @@ mod tests {
         let v = grid.node_at(&[3, 1]);
         let h = grid.graph().half_edge(v, 0);
         assert_eq!(run.output.get(h), OutLabel(3));
+    }
+
+    fn echo_alg(
+    ) -> FnProdAlgorithm<impl Fn(usize) -> u32, impl Fn(&crate::view::GridView) -> Vec<OutLabel>>
+    {
+        FnProdAlgorithm::new(
+            "echo-x",
+            |_| 1,
+            |view| vec![OutLabel((view.id(0, 0) % 1000) as u32); 2 * view.d],
+        )
+    }
+
+    #[test]
+    fn a_crash_after_round_t_never_bites() {
+        let grid = OrientedGrid::new(&[3, 3]);
+        let ids = ProdIds::sequential(&grid);
+        let input = lcl::uniform_input(grid.graph());
+        let clean = run_prod_local(&echo_alg(), &grid, &input, &ids, None);
+        // `echo_alg` has T = 1: a crash at round 2 comes after the cell
+        // has collected its box, so its labels stay intact.
+        let late = FaultPlan::new(0).with(Fault::Crash { node: 4, round: 2 });
+        let log = EventLog::new(64);
+        let opts = RunOptions::new().faults(&late).events(&log);
+        let report = simulate_with(&echo_alg(), &grid, &input, &ids, None, opts);
+        assert!(!report.outcome.is_degraded());
+        assert_eq!(report.outcome.outcome, clean);
+        assert!(log
+            .events()
+            .iter()
+            .all(|e| !matches!(e, Event::Fault { .. })));
+        // A crash at round T still bites.
+        let on_time = FaultPlan::new(0).with(Fault::Crash { node: 4, round: 1 });
+        let opts = RunOptions::new().faults(&on_time);
+        let report = simulate_with(&echo_alg(), &grid, &input, &ids, None, opts);
+        assert_eq!(report.outcome.faults.len(), 1);
+        assert_eq!(report.outcome.faults[0].payload, "crash-stop");
+    }
+
+    #[test]
+    fn crash_and_panic_degrade_cells_without_aborting() {
+        let grid = OrientedGrid::new(&[3, 3]);
+        let ids = ProdIds::sequential(&grid);
+        let input = lcl::uniform_input(grid.graph());
+        let plan = FaultPlan::new(0)
+            .with(Fault::Crash { node: 1, round: 0 })
+            .with(Fault::PanicNode { node: 4 });
+        let log = EventLog::new(64);
+        let opts = RunOptions::new().faults(&plan).events(&log);
+        let report = simulate_with(&echo_alg(), &grid, &input, &ids, None, opts);
+        let degraded = &report.outcome;
+        assert_eq!(degraded.faults.len(), 2);
+        assert_eq!(degraded.faults[0].payload, "crash-stop");
+        assert!(degraded.faults[1]
+            .payload
+            .contains("injected panic at node 4"));
+        assert_eq!(report.trace.total(Counter::Faults), 2);
+        let fault_events = log
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::Fault { .. }))
+            .count();
+        assert_eq!(fault_events, 2);
+    }
+
+    #[test]
+    fn corrupt_window_spares_the_cells_own_slices() {
+        let grid = OrientedGrid::new(&[4, 4]);
+        let ids = ProdIds::sequential(&grid);
+        let input = lcl::uniform_input(grid.graph());
+        // Echo own dim-0 id: corruption must not change it (offset 0 is
+        // the cell's own slice), even though neighbors are perturbed.
+        let plan = FaultPlan::new(0).with(Fault::CorruptView { node: 5, salt: 9 });
+        let quiet = FaultPlan::new(0);
+        let honest = simulate_with(
+            &echo_alg(),
+            &grid,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&quiet),
+        );
+        let corrupted = simulate_with(
+            &echo_alg(),
+            &grid,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        assert!(!corrupted.outcome.is_degraded(), "silent corruption");
+        assert_eq!(corrupted.outcome.outcome, honest.outcome.outcome);
+        // An algorithm reading a *neighbor* slice does see the corruption.
+        let neighbor_alg = FnProdAlgorithm::new(
+            "echo-left",
+            |_| 1,
+            |view| vec![OutLabel((view.id(0, -1) % 1000) as u32); 2 * view.d],
+        );
+        let honest = simulate_with(
+            &neighbor_alg,
+            &grid,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&quiet),
+        );
+        let corrupted = simulate_with(
+            &neighbor_alg,
+            &grid,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        assert_ne!(corrupted.outcome.outcome, honest.outcome.outcome);
+    }
+
+    #[test]
+    fn id_permutation_reshuffles_slices_deterministically() {
+        let grid = OrientedGrid::new(&[4, 5]);
+        let ids = ProdIds::sequential(&grid);
+        let input = lcl::uniform_input(grid.graph());
+        let plan = FaultPlan::new(17).with_permuted_ids();
+        let a = simulate_with(
+            &echo_alg(),
+            &grid,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        let b = simulate_with(
+            &echo_alg(),
+            &grid,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.trace.fingerprint(), b.trace.fingerprint());
+        // Per column, outputs are a permutation of the sequential ids.
+        let mut seen: Vec<u32> = (0..4)
+            .map(|x| {
+                let v = grid.node_at(&[x, 0]);
+                a.outcome.outcome.output.get(grid.graph().half_edge(v, 0)).0
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 }

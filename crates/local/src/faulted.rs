@@ -1,8 +1,10 @@
 //! Fault-injected LOCAL execution with graceful degradation.
 //!
-//! The fault-plan paths of [`simulate_with`](crate::simulate_with) and
-//! [`simulate_sync_with`](crate::simulate_sync_with): a [`FaultPlan`] is applied
-//! deterministically, node algorithm invocations run panic-isolated
+//! [`simulate_with`](crate::simulate_with) applies a [`FaultPlan`] inside
+//! its one view loop; [`simulate_sync_with`](crate::simulate_sync_with)
+//! routes a plan to the degrading message-passing executor of this
+//! module, which the sharded executors are checked against. Under a
+//! plan a node's algorithm invocations run panic-isolated
 //! ([`lcl_faults::isolate`]), and every fault becomes a typed
 //! [`NodeFault`] record plus an [`Event::Fault`] in the event log. The
 //! result is a [`Degraded`] run — never a process abort.
@@ -29,133 +31,12 @@
 //! `(algorithm, instance, ids, plan)` — repeated runs are bit-identical.
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
-use lcl_faults::{inject_panic, isolate, plan::perturb, Degraded, FaultPlan, NodeFault};
+use lcl_faults::{inject_panic, isolate, record_fault, Degraded, FaultPlan, NodeFault};
 use lcl_graph::Graph;
 use lcl_obs::{Counter, Event, EventLog, RunReport, Span, Trace};
 
-use crate::algorithm::LocalAlgorithm;
 use crate::ids::IdAssignment;
-use crate::run::LocalRun;
 use crate::sync::{NodeInit, SyncAlgorithm, SyncRun};
-use crate::view::View;
-
-fn record_fault(
-    faults: &mut Vec<NodeFault>,
-    log: Option<&EventLog>,
-    node: u64,
-    round: u64,
-    tag: &'static str,
-    payload: String,
-) {
-    if let Some(log) = log {
-        log.record(Event::Fault {
-            node,
-            round,
-            fault: tag,
-        });
-    }
-    faults.push(NodeFault {
-        node,
-        round,
-        payload,
-    });
-}
-
-pub(crate) fn simulate_faulted_impl(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-    plan: &FaultPlan,
-    log: Option<&EventLog>,
-) -> RunReport<Degraded<LocalRun>> {
-    assert_eq!(ids.len(), graph.node_count(), "ids cover the graph");
-    let permuted;
-    let ids = match plan.permutation(graph.node_count()) {
-        Some(perm) => {
-            permuted = ids.permuted(&perm);
-            &permuted
-        }
-        None => ids,
-    };
-    let n = n_announced.unwrap_or_else(|| graph.node_count());
-    let radius = alg.radius(n);
-    let mut span = Span::start(format!("local/faulted/{}", alg.name()));
-    let mut faults = Vec::new();
-    let mut view_nodes = 0u64;
-    let output = HalfEdgeLabeling::from_node_fn(graph, |v| {
-        let degree = graph.degree(v) as usize;
-        let node = v.index() as u64;
-        if plan.crash_round(v.index()).is_some_and(|r| r <= radius) {
-            record_fault(&mut faults, log, node, 0, "crash-stop", "crash-stop".into());
-            return vec![OutLabel(0); degree];
-        }
-        let ball = graph.ball(v, radius);
-        view_nodes += ball.nodes.len() as u64;
-        span.observe(Counter::ViewNodes, ball.nodes.len() as u64);
-        let mut ball_ids: Vec<u64> = ball.nodes.iter().map(|b| ids.id(b.original)).collect();
-        if let Some(salt) = plan.corrupt_salt(v.index()) {
-            if let Some(log) = log {
-                log.record(Event::Fault {
-                    node,
-                    round: 0,
-                    fault: "corrupt-view",
-                });
-            }
-            // The center still knows its own id; the rest of the view is
-            // the adversary's to rewrite.
-            for (i, id) in ball_ids.iter_mut().enumerate().skip(1) {
-                *id ^= perturb(salt, i as u64);
-            }
-        }
-        let inputs = ball
-            .nodes
-            .iter()
-            .flat_map(|b| b.half_edges.iter().map(|&h| input.get(h)))
-            .collect();
-        let view = View {
-            ball: &ball,
-            n,
-            ids: ball_ids,
-            bits: Vec::new(),
-            inputs,
-        };
-        let labels = if plan.panics(v.index()) {
-            isolate(|| inject_panic(node))
-        } else {
-            isolate(|| alg.label(&view))
-        };
-        match labels {
-            Ok(labels) if labels.len() == degree => labels,
-            Ok(labels) => {
-                let payload = format!(
-                    "returned {} labels for a degree-{degree} center",
-                    labels.len()
-                );
-                record_fault(&mut faults, log, node, 0, "wrong-arity", payload);
-                vec![OutLabel(0); degree]
-            }
-            Err(payload) => {
-                record_fault(&mut faults, log, node, 0, "panic", payload);
-                vec![OutLabel(0); degree]
-            }
-        }
-    });
-    let run = LocalRun { output, radius };
-    span.set(Counter::Nodes, graph.node_count() as u64);
-    span.set(Counter::Edges, graph.edge_count() as u64);
-    span.set(Counter::Queries, graph.node_count() as u64);
-    span.set(Counter::Radius, u64::from(radius));
-    span.set(Counter::Rounds, u64::from(radius));
-    span.set(Counter::ViewNodes, view_nodes);
-    span.set(Counter::Faults, faults.len() as u64);
-    let degraded = Degraded {
-        outcome: run,
-        faults,
-    };
-    RunReport::new(degraded, Trace::new(span.finish()))
-}
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_sync_faulted_impl<A: SyncAlgorithm>(
@@ -426,7 +307,9 @@ pub(crate) fn simulate_sync_faulted_impl<A: SyncAlgorithm>(
 mod tests {
     use super::*;
     use crate::algorithm::FnAlgorithm;
-    use lcl_faults::Fault;
+    use crate::run::simulate_with;
+    use crate::view::View;
+    use lcl_faults::{Fault, RunOptions};
     use lcl_graph::gen;
 
     fn echo_id_alg() -> FnAlgorithm<impl Fn(usize) -> u32, impl Fn(&View) -> Vec<OutLabel>> {
@@ -438,15 +321,34 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_matches_the_unfaulted_run() {
+    fn a_crash_after_round_t_never_bites_a_view() {
         let g = gen::path(5);
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::sequential(5);
-        let plan = FaultPlan::new(3);
-        let report = simulate_faulted_impl(&echo_id_alg(), &g, &input, &ids, None, &plan, None);
+        // `echo_id_alg` has T = 1: a crash at round 2 comes after node 2
+        // has collected its view, one at round 1 does not.
+        let late = FaultPlan::new(0).with(Fault::Crash { node: 2, round: 2 });
+        let report = simulate_with(
+            &echo_id_alg(),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&late),
+        );
         assert!(!report.outcome.is_degraded());
         let plain = crate::run::run_deterministic(&echo_id_alg(), &g, &input, &ids, None);
         assert_eq!(report.outcome.outcome, plain);
+        let on_time = FaultPlan::new(0).with(Fault::Crash { node: 2, round: 1 });
+        let report = simulate_with(
+            &echo_id_alg(),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&on_time),
+        );
+        assert_eq!(report.outcome.faults.len(), 1);
     }
 
     #[test]
@@ -458,8 +360,8 @@ mod tests {
             .with(Fault::Crash { node: 1, round: 0 })
             .with(Fault::PanicNode { node: 3 });
         let log = EventLog::new(64);
-        let report =
-            simulate_faulted_impl(&echo_id_alg(), &g, &input, &ids, None, &plan, Some(&log));
+        let opts = RunOptions::new().faults(&plan).events(&log);
+        let report = simulate_with(&echo_id_alg(), &g, &input, &ids, None, opts);
         let degraded = &report.outcome;
         assert!(degraded.is_degraded());
         assert_eq!(degraded.faults.len(), 2);
@@ -494,8 +396,22 @@ mod tests {
             },
         );
         let plan = FaultPlan::new(0).with(Fault::CorruptView { node: 1, salt: 7 });
-        let a = simulate_faulted_impl(&alg, &g, &input, &ids, None, &plan, None);
-        let b = simulate_faulted_impl(&alg, &g, &input, &ids, None, &plan, None);
+        let a = simulate_with(
+            &alg,
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        let b = simulate_with(
+            &alg,
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
         assert_eq!(a.outcome, b.outcome, "corruption is deterministic");
         // No fault record: the node answered, possibly wrongly.
         assert!(!a.outcome.is_degraded());
@@ -507,7 +423,14 @@ mod tests {
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::from_vec(vec![10, 20, 30, 40]);
         let plan = FaultPlan::new(9).with_permuted_ids();
-        let run = simulate_faulted_impl(&echo_id_alg(), &g, &input, &ids, None, &plan, None);
+        let run = simulate_with(
+            &echo_id_alg(),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
         let seen: Vec<u32> = g
             .nodes()
             .map(|v| run.outcome.outcome.output.get(g.half_edge(v, 0)).0)
@@ -515,7 +438,14 @@ mod tests {
         let mut sorted = seen.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![10, 20, 30, 40], "same id multiset");
-        let again = simulate_faulted_impl(&echo_id_alg(), &g, &input, &ids, None, &plan, None);
+        let again = simulate_with(
+            &echo_id_alg(),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
         assert_eq!(run.outcome, again.outcome);
     }
 

@@ -1,6 +1,9 @@
 //! Identifier assignments from a polynomial range (Definition 2.1 equips
 //! deterministic algorithms with globally unique identifiers).
 
+use std::borrow::Cow;
+
+use lcl_faults::FaultPlan;
 use lcl_rng::SmallRng;
 
 use lcl_graph::NodeId;
@@ -115,6 +118,16 @@ impl IdAssignment {
         Self::from_vec(ids)
     }
 
+    /// The assignment a run under `plan` sees: [`permuted`](Self::permuted)
+    /// by the plan's adversarial permutation when it asks for one, else
+    /// `self` unchanged.
+    pub fn under(&self, plan: Option<&FaultPlan>) -> Cow<'_, Self> {
+        match plan.and_then(|p| p.permutation(self.len())) {
+            Some(perm) => Cow::Owned(self.permuted(&perm)),
+            None => Cow::Borrowed(self),
+        }
+    }
+
     /// A fresh assignment with the same relative order but different
     /// values: each identifier is replaced by a random value preserving
     /// ranks. Used by the empirical order-invariance checker.
@@ -145,6 +158,17 @@ impl IdAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_plan_permutes_only_when_it_asks_to() {
+        let ids = IdAssignment::from_vec(vec![10, 20, 30, 40, 50]);
+        assert!(matches!(ids.under(None), Cow::Borrowed(_)));
+        let quiet = FaultPlan::new(3);
+        assert!(matches!(ids.under(Some(&quiet)), Cow::Borrowed(_)));
+        let shuffle = FaultPlan::new(3).with_permuted_ids();
+        let perm = shuffle.permutation(5).expect("asked for");
+        assert_eq!(*ids.under(Some(&shuffle)), ids.permuted(&perm));
+    }
 
     #[test]
     fn sequential_ids() {

@@ -3,9 +3,11 @@
 use lcl_rng::SmallRng;
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel, Problem, Violation};
-use lcl_faults::{Degraded, InvalidConfig, RunOptions};
-use lcl_graph::Graph;
-use lcl_obs::{Counter, Event, EventLog, RunReport, Span, Trace};
+use lcl_faults::{
+    inject_panic, isolate, plan::perturb, record_fault, Degraded, InvalidConfig, RunOptions,
+};
+use lcl_graph::{Ball, Graph};
+use lcl_obs::{Counter, Event, RunReport, Span, Trace};
 
 use crate::algorithm::LocalAlgorithm;
 use crate::ids::IdAssignment;
@@ -20,75 +22,151 @@ pub struct LocalRun {
     pub radius: u32,
 }
 
-fn run_with<F>(
+/// The one LOCAL view executor: every node evaluates the view-function
+/// on its radius-`T(n)` ball. `see` turns a ball into what its center
+/// sees: the id its `ViewMaterialized` event carries, then the ball's
+/// identifiers and random bits.
+///
+/// `opts`' fault plan only decides per-node injection (crash-stop at a
+/// round `≤ T`, view corruption, injected panic) and what a failing
+/// node costs: under a plan the call is panic-isolated and a failure
+/// becomes a [`NodeFault`](lcl_faults::NodeFault) plus placeholder
+/// labels; without one a wrong arity panics and a genuine panic
+/// propagates. The span is `local/faulted/…` (with a `faults` counter)
+/// under a plan and `local/{mode}/…` without.
+fn run_views(
     alg: &(impl LocalAlgorithm + ?Sized),
     graph: &Graph,
     input: &HalfEdgeLabeling<InLabel>,
-    n_announced: usize,
-    mut per_node: F,
-) -> LocalRun
-where
-    F: FnMut(&lcl_graph::Ball) -> (Vec<u64>, Vec<u64>),
-{
-    let radius = alg.radius(n_announced);
+    n_announced: Option<usize>,
+    mode: &str,
+    opts: RunOptions<'_>,
+    mut see: impl FnMut(&Ball) -> (u64, Vec<u64>, Vec<u64>),
+) -> RunReport<Degraded<LocalRun>> {
+    let (plan, log) = (opts.fault_plan(), opts.event_log());
+    let n = n_announced.unwrap_or_else(|| graph.node_count());
+    let radius = alg.radius(n);
+    let mut span = Span::start(match plan {
+        Some(_) => format!("local/faulted/{}", alg.name()),
+        None => format!("local/{mode}/{}", alg.name()),
+    });
+    let mut faults = Vec::new();
+    let mut view_nodes = 0u64;
     let output = HalfEdgeLabeling::from_node_fn(graph, |v| {
+        let degree = graph.degree(v) as usize;
+        let node = v.index() as u64;
+        let crashed = plan.and_then(|p| p.crash_round(v.index()));
+        if crashed.is_some_and(|r| r <= radius) {
+            record_fault(&mut faults, log, node, 0, "crash-stop", "crash-stop".into());
+            return vec![OutLabel(0); degree];
+        }
         let ball = graph.ball(v, radius);
-        let (ids, bits) = per_node(&ball);
+        view_nodes += ball.nodes.len() as u64;
+        span.observe(Counter::ViewNodes, ball.nodes.len() as u64);
+        let (center, mut ids, bits) = see(&ball);
+        if let Some(log) = log {
+            log.record(Event::ViewMaterialized {
+                node: center,
+                radius: u64::from(radius),
+                size: ball.nodes.len() as u64,
+            });
+        }
+        if let Some(salt) = plan.and_then(|p| p.corrupt_salt(v.index())) {
+            if let Some(log) = log {
+                log.record(Event::Fault {
+                    node,
+                    round: 0,
+                    fault: "corrupt-view",
+                });
+            }
+            // The center still knows its own id; the rest of the view is
+            // the adversary's to rewrite.
+            for (i, id) in ids.iter_mut().enumerate().skip(1) {
+                *id ^= perturb(salt, i as u64);
+            }
+        }
         let inputs = ball
             .nodes
             .iter()
-            .flat_map(|node| node.half_edges.iter().map(|&h| input.get(h)))
+            .flat_map(|b| b.half_edges.iter().map(|&h| input.get(h)))
             .collect();
         let view = View {
             ball: &ball,
-            n: n_announced,
+            n,
             ids,
             bits,
             inputs,
         };
-        let labels = alg.label(&view);
-        assert_eq!(
-            labels.len(),
-            graph.degree(v) as usize,
-            "algorithm {} must label each port of the center",
-            alg.name()
-        );
-        labels
+        let Some(plan) = plan else {
+            let labels = alg.label(&view);
+            assert_eq!(
+                labels.len(),
+                degree,
+                "algorithm {} must label each port of the center",
+                alg.name()
+            );
+            return labels;
+        };
+        let labels = if plan.panics(v.index()) {
+            isolate(|| inject_panic(node))
+        } else {
+            isolate(|| alg.label(&view))
+        };
+        match labels {
+            Ok(labels) if labels.len() == degree => labels,
+            Ok(labels) => {
+                let payload = format!(
+                    "returned {} labels for a degree-{degree} center",
+                    labels.len()
+                );
+                record_fault(&mut faults, log, node, 0, "wrong-arity", payload);
+                vec![OutLabel(0); degree]
+            }
+            Err(payload) => {
+                record_fault(&mut faults, log, node, 0, "panic", payload);
+                vec![OutLabel(0); degree]
+            }
+        }
     });
-    LocalRun { output, radius }
-}
-
-/// Seals the common LOCAL counters into `span`: instance shape, the
-/// requested radius (which bounds the round complexity exercised), and
-/// the total view nodes materialized — the measurable form of the
-/// paper's `O(Δ^T)` view-size bound.
-fn seal_local_span(span: &mut Span, graph: &Graph, run: &LocalRun, view_nodes: u64) {
+    // The instance shape, the requested radius (which bounds the round
+    // complexity exercised), and the total view nodes materialized —
+    // the measurable form of the paper's `O(Δ^T)` view-size bound.
     span.set(Counter::Nodes, graph.node_count() as u64);
     span.set(Counter::Edges, graph.edge_count() as u64);
     span.set(Counter::Queries, graph.node_count() as u64);
-    span.set(Counter::Radius, u64::from(run.radius));
-    span.set(Counter::Rounds, u64::from(run.radius));
+    span.set(Counter::Radius, u64::from(radius));
+    span.set(Counter::Rounds, u64::from(radius));
     span.set(Counter::ViewNodes, view_nodes);
+    if plan.is_some() {
+        span.set(Counter::Faults, faults.len() as u64);
+    }
+    let degraded = Degraded {
+        outcome: LocalRun { output, radius },
+        faults,
+    };
+    RunReport::new(degraded, Trace::new(span.finish()))
 }
 
-/// Runs a deterministic LOCAL algorithm and reports the execution trace:
-/// every node evaluates the view-function on its radius-`T(n)` ball,
-/// seeing the identifiers in `ids`.
+/// Runs a deterministic LOCAL algorithm under [`RunOptions`] and reports
+/// the execution trace: every node evaluates the view-function on its
+/// radius-`T(n)` ball, seeing the identifiers in `ids`.
+///
+/// With a fault plan the run degrades (see [`crate::faulted`] for the
+/// fault semantics): the plan may permute `ids`, and a crashed,
+/// panicking or mislabeling node costs one typed fault record and
+/// placeholder labels. Without one the outcome is [`Degraded::clean`].
+/// A budget's dimensions do not apply to view-based LOCAL runs (the
+/// radius is the algorithm's, not a resource) and are ignored here.
 ///
 /// `n_announced` overrides the number of nodes reported to the algorithm
 /// (the paper's footnote 7: "nothing prevents us from executing an
 /// algorithm using an input parameter that does not represent the correct
 /// number of nodes"); `None` announces the true `n`.
 ///
-/// Runs a deterministic LOCAL algorithm under [`RunOptions`]: optional
-/// event capture, optional fault plan. With a fault plan the run is the
-/// degrading executor of [`crate::faulted`]; without one the outcome is
-/// [`Degraded::clean`] and bit-identical to the plain run. A budget's
-/// dimensions do not apply to view-based LOCAL runs (the radius is the
-/// algorithm's, not a resource) and are ignored here.
+/// # Panics
 ///
-/// `n_announced` overrides the number of nodes reported to the
-/// algorithm (the paper's footnote 7); `None` announces the true `n`.
+/// Without a fault plan, if the algorithm panics or labels the wrong
+/// number of ports.
 pub fn simulate_with(
     alg: &(impl LocalAlgorithm + ?Sized),
     graph: &Graph,
@@ -97,60 +175,29 @@ pub fn simulate_with(
     n_announced: Option<usize>,
     opts: RunOptions<'_>,
 ) -> RunReport<Degraded<LocalRun>> {
-    match opts.fault_plan() {
-        Some(plan) => crate::faulted::simulate_faulted_impl(
-            alg,
-            graph,
-            input,
-            ids,
-            n_announced,
-            plan,
-            opts.event_log(),
-        ),
-        None => simulate_impl(alg, graph, input, ids, n_announced, opts.event_log())
-            .map(Degraded::clean),
-    }
-}
-
-pub(crate) fn simulate_impl(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> RunReport<LocalRun> {
     assert_eq!(ids.len(), graph.node_count(), "ids cover the graph");
-    let n = n_announced.unwrap_or_else(|| graph.node_count());
-    let mut span = Span::start(format!("local/deterministic/{}", alg.name()));
-    let mut view_nodes = 0u64;
-    let radius = alg.radius(n);
-    let run = run_with(alg, graph, input, n, |ball| {
-        view_nodes += ball.nodes.len() as u64;
-        span.observe(Counter::ViewNodes, ball.nodes.len() as u64);
-        let ids: Vec<u64> = ball.nodes.iter().map(|b| ids.id(b.original)).collect();
-        if let Some(log) = log {
-            log.record(Event::ViewMaterialized {
-                node: ids[0],
-                radius: u64::from(radius),
-                size: ball.nodes.len() as u64,
-            });
-        }
-        (ids, Vec::new())
-    });
-    seal_local_span(&mut span, graph, &run, view_nodes);
-    RunReport::new(run, Trace::new(span.finish()))
+    let ids = ids.under(opts.fault_plan());
+    run_views(
+        alg,
+        graph,
+        input,
+        n_announced,
+        "deterministic",
+        opts,
+        |ball| {
+            let ids: Vec<u64> = ball.nodes.iter().map(|b| ids.id(b.original)).collect();
+            (ids[0], ids, Vec::new())
+        },
+    )
 }
 
-/// Runs a randomized LOCAL algorithm and reports the execution trace:
-/// every node carries a private random bit string, derived
-/// deterministically from `seed` and the node id so that runs are
-/// reproducible.
+/// Runs a randomized LOCAL algorithm under [`RunOptions`] and reports
+/// the execution trace: every node carries a private random bit string,
+/// derived deterministically from `seed` so that runs are reproducible.
 ///
-/// Runs a randomized LOCAL algorithm under [`RunOptions`]. Only the
-/// event axis applies: randomized runs see no identifiers, so fault
-/// plans (which key on identifier-visible structure) have no defined
-/// semantics here and `opts` must not carry one.
+/// Only the event axis applies: randomized runs see no identifiers, so
+/// fault plans (which key on identifier-visible structure) have no
+/// defined semantics here and `opts` must not carry one.
 pub fn simulate_randomized_with(
     alg: &(impl LocalAlgorithm + ?Sized),
     graph: &Graph,
@@ -161,46 +208,22 @@ pub fn simulate_randomized_with(
 ) -> RunReport<LocalRun> {
     assert!(
         opts.fault_plan().is_none(),
-        "why: randomized LOCAL has no faulted executor; run the deterministic \
+        "why: randomized LOCAL defines no fault semantics; run the deterministic \
          simulate_with under a plan instead"
     );
-    simulate_randomized_impl(alg, graph, input, seed, n_announced, opts.event_log())
-}
-
-fn simulate_randomized_impl(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    seed: u64,
-    n_announced: Option<usize>,
-    log: Option<&EventLog>,
-) -> RunReport<LocalRun> {
-    let n = n_announced.unwrap_or_else(|| graph.node_count());
     // Pre-draw one 64-bit string per node.
     let mut rng = SmallRng::seed_from_u64(seed);
     let bits: Vec<u64> = (0..graph.node_count()).map(|_| rng.gen()).collect();
-    let mut span = Span::start(format!("local/randomized/{}", alg.name()));
-    let mut view_nodes = 0u64;
-    let radius = alg.radius(n);
-    let run = run_with(alg, graph, input, n, |ball| {
-        view_nodes += ball.nodes.len() as u64;
-        span.observe(Counter::ViewNodes, ball.nodes.len() as u64);
-        if let Some(log) = log {
-            log.record(Event::ViewMaterialized {
-                node: ball.nodes[0].original.index() as u64,
-                radius: u64::from(radius),
-                size: ball.nodes.len() as u64,
-            });
-        }
+    run_views(alg, graph, input, n_announced, "randomized", opts, |ball| {
+        let center = ball.nodes[0].original.index() as u64;
         let bits = ball
             .nodes
             .iter()
             .map(|b| bits[b.original.index()])
             .collect();
-        (Vec::new(), bits)
-    });
-    seal_local_span(&mut span, graph, &run, view_nodes);
-    RunReport::new(run, Trace::new(span.finish()))
+        (center, Vec::new(), bits)
+    })
+    .map(|run| run.outcome)
 }
 
 /// Runs a deterministic LOCAL algorithm, discarding the trace.
@@ -215,7 +238,9 @@ pub fn run_deterministic(
     ids: &IdAssignment,
     n_announced: Option<usize>,
 ) -> LocalRun {
-    simulate_impl(alg, graph, input, ids, n_announced, None).outcome
+    simulate_with(alg, graph, input, ids, n_announced, RunOptions::new())
+        .outcome
+        .outcome
 }
 
 /// Runs a randomized LOCAL algorithm, discarding the trace.
@@ -230,7 +255,7 @@ pub fn run_randomized(
     seed: u64,
     n_announced: Option<usize>,
 ) -> LocalRun {
-    simulate_randomized_impl(alg, graph, input, seed, n_announced, None).outcome
+    simulate_randomized_with(alg, graph, input, seed, n_announced, RunOptions::new()).outcome
 }
 
 /// A Monte-Carlo estimate of an algorithm's local failure probability

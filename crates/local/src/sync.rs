@@ -9,7 +9,7 @@
 //! message passing reveal at most the radius-`T` view.
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
-use lcl_faults::{Degraded, FaultPlan, NodeFault};
+use lcl_faults::{record_fault, Degraded, FaultPlan, NodeFault};
 use lcl_graph::{Graph, NodeId};
 use lcl_obs::{Counter, Event, EventLog, RunReport, Span, Trace};
 
@@ -353,19 +353,14 @@ fn no_halt_faults<A: SyncAlgorithm>(
     let round = u64::from(rounds);
     let mut faults = Vec::new();
     for (i, _) in states.iter().enumerate().filter(|(_, s)| !alg.is_done(s)) {
-        let node = i as u64;
-        if let Some(log) = log {
-            log.record(Event::Fault {
-                node,
-                round,
-                fault: "no-halt",
-            });
-        }
-        faults.push(NodeFault {
-            node,
+        record_fault(
+            &mut faults,
+            log,
+            i as u64,
             round,
-            payload: format!("did not halt within {max_rounds} rounds"),
-        });
+            "no-halt",
+            format!("did not halt within {max_rounds} rounds"),
+        );
     }
     faults
 }

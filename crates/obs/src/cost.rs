@@ -203,29 +203,6 @@ impl CostModel {
         );
         out
     }
-
-    /// JSON rendering: per-kind counts plus the node-averaged summary
-    /// (`null` when no node ids were seen).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for kind in CostKind::ALL {
-            let _ = write!(
-                out,
-                "\"{}\": {}, ",
-                kind.as_str().replace('-', "_"),
-                self.get(kind)
-            );
-        }
-        let _ = write!(out, "\"nodes\": {}, ", self.node_count());
-        match self.node_averaged() {
-            Some(avg) => {
-                let _ = write!(out, "\"node_averaged\": {avg}");
-            }
-            None => out.push_str("\"node_averaged\": null"),
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -331,18 +308,8 @@ mod tests {
     #[test]
     fn json_and_fingerprint_cover_every_kind() {
         let cost = CostModel::from_events(&sample_events());
-        let json = cost.to_json();
         for kind in CostKind::ALL {
-            assert!(
-                json.contains(&kind.as_str().replace('-', "_")),
-                "missing {} in {json}",
-                kind.as_str()
-            );
             assert!(cost.fingerprint().contains(kind.as_str()));
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(CostModel::new()
-            .to_json()
-            .contains("\"node_averaged\": null"));
     }
 }

@@ -355,31 +355,6 @@ impl EventLog {
     pub fn events(&self) -> Vec<Event> {
         self.ring().buf.iter().cloned().collect()
     }
-
-    /// JSON rendering: `{"seen": .., "dropped": .., "dropped_sampling":
-    /// .., "dropped_capacity": .., "events": [..]}` (`dropped` stays
-    /// the sum for backward compatibility).
-    pub fn to_json(&self) -> String {
-        let ring = self.ring();
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"seen\": {}, \"dropped\": {}, \"dropped_sampling\": {}, \
-             \"dropped_capacity\": {}, \"events\": [",
-            ring.seen,
-            ring.dropped_sampling + ring.dropped_capacity,
-            ring.dropped_sampling,
-            ring.dropped_capacity
-        );
-        for (i, event) in ring.buf.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&event.to_json());
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -440,10 +415,6 @@ mod tests {
         assert_eq!(log.dropped_sampling(), 4);
         assert_eq!(log.dropped_capacity(), 2);
         assert_eq!(log.dropped(), 6);
-        let json = log.to_json();
-        assert!(json.contains("\"dropped\": 6"), "{json}");
-        assert!(json.contains("\"dropped_sampling\": 4"), "{json}");
-        assert!(json.contains("\"dropped_capacity\": 2"), "{json}");
     }
 
     #[test]
@@ -497,63 +468,57 @@ mod tests {
 
     #[test]
     fn json_covers_every_variant() {
-        let log = EventLog::new(16);
-        log.record(Event::RoundStart { round: 0 });
-        log.record(Event::RoundEnd {
-            round: 0,
-            messages: 12,
-        });
-        log.record(Event::Probe {
-            query: 7,
-            j: 2,
-            port: 1,
-        });
-        log.record(Event::ViewMaterialized {
-            node: 3,
-            radius: 2,
-            size: 5,
-        });
-        log.record(Event::MemoLookup { hit: true });
-        log.record(Event::LevelComplete {
-            level: 1,
-            labels: 4,
-            configs: 9,
-        });
-        log.record(Event::Fault {
-            node: 2,
-            round: 1,
-            fault: "crash-stop",
-        });
-        log.record(Event::Retry {
-            stage: "re-tower/level-3".to_string(),
-            attempt: 1,
-            backoff_ms: 20,
-        });
-        log.record(Event::Checkpoint {
-            stage: "re-tower/level-3".to_string(),
-            completed: 2,
-        });
-        log.record(Event::ShardStep {
-            shard: 3,
-            superstep: 2,
-            halo_messages: 5,
-            halo_bytes: 40,
-        });
-        let json = log.to_json();
-        for kind in [
-            "round-start",
-            "round-end",
-            "probe",
-            "view-materialized",
-            "memo-lookup",
-            "level-complete",
-            "fault",
-            "retry",
-            "checkpoint",
-            "shard-step",
-        ] {
-            assert!(json.contains(kind), "missing {kind} in {json}");
+        let events = [
+            Event::RoundStart { round: 0 },
+            Event::RoundEnd {
+                round: 0,
+                messages: 12,
+            },
+            Event::Probe {
+                query: 7,
+                j: 2,
+                port: 1,
+            },
+            Event::ViewMaterialized {
+                node: 3,
+                radius: 2,
+                size: 5,
+            },
+            Event::MemoLookup { hit: true },
+            Event::LevelComplete {
+                level: 1,
+                labels: 4,
+                configs: 9,
+            },
+            Event::Fault {
+                node: 2,
+                round: 1,
+                fault: "crash-stop",
+            },
+            Event::Retry {
+                stage: "re-tower/\"level\"-3".to_string(),
+                attempt: 1,
+                backoff_ms: 20,
+            },
+            Event::Checkpoint {
+                stage: "re-tower/level-3".to_string(),
+                completed: 2,
+            },
+            Event::ShardStep {
+                shard: 3,
+                superstep: 2,
+                halo_messages: 5,
+                halo_bytes: 40,
+            },
+        ];
+        for event in &events {
+            let json = event.to_json();
+            let doc = crate::json::parse(&json).expect("every rendering is valid JSON");
+            assert_eq!(
+                doc.get("kind").and_then(crate::json::Value::as_str),
+                Some(event.kind()),
+                "{json}"
+            );
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -127,24 +127,6 @@ impl Histogram {
         let _ = write!(out, "]|{}|{}", self.count, self.sum);
         out
     }
-
-    /// JSON rendering: `{"count": .., "sum": .., "buckets": {"le": n}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"count\": {}, \"sum\": {}, \"buckets\": {{",
-            self.count, self.sum
-        );
-        for (i, (le, c)) in self.buckets().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{le}\": {c}");
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -253,10 +235,5 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.fingerprint(), "[0:1 1:1 3:2 7:1]|5|10");
-        let json = h.to_json();
-        assert!(json.contains("\"count\": 5"));
-        assert!(json.contains("\"sum\": 10"));
-        assert!(json.contains("\"3\": 2"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -14,10 +14,10 @@
 //! * [`Span`] / [`SpanRecord`] — hierarchical spans with wall-clock
 //!   timing. A [`Span`] is open and mutable; [`Span::finish`] seals it
 //!   into an immutable [`SpanRecord`] that can be nested under a parent.
-//! * [`Trace`] — a finished span tree. Serializes to JSON
-//!   ([`Trace::to_json`]) and to a wall-clock-free canonical form
-//!   ([`Trace::fingerprint`]) used to assert that parallel and
-//!   sequential executions record identical counters.
+//! * [`Trace`] — a finished span tree. Renders to a wall-clock-free
+//!   canonical form ([`Trace::fingerprint`]) used to assert that
+//!   parallel and sequential executions record identical counters;
+//!   [`export`] renders it for external tools.
 //! * [`Registry`] — a thread-safe collection of labeled traces; the
 //!   bench harness drains one into `BENCH_obs.json`.
 //! * [`RunReport`] — the uniform return type of every instrumented
@@ -58,7 +58,7 @@
 //! root.record(step.finish());
 //! let trace = Trace::new(root.finish());
 //! assert_eq!(trace.total(Counter::Rounds), 3);
-//! assert!(trace.to_json().contains("\"rounds\": 3"));
+//! assert!(trace.fingerprint().contains("color-reduction rounds=3"));
 //! ```
 
 pub mod cost;

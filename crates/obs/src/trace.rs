@@ -6,7 +6,6 @@ use std::time::{Duration, Instant};
 
 use crate::counter::Counter;
 use crate::histogram::Histogram;
-use crate::json;
 
 /// An *open* span: mutable, timing since [`Span::start`].
 ///
@@ -214,41 +213,6 @@ impl SpanRecord {
             child.write_fingerprint(out, depth + 1);
         }
     }
-
-    fn write_json(&self, out: &mut String, indent: usize) {
-        let pad = " ".repeat(indent);
-        let _ = writeln!(out, "{pad}{{");
-        let _ = writeln!(out, "{pad}  \"name\": {},", json::quote(&self.name));
-        let _ = writeln!(out, "{pad}  \"wall_us\": {},", self.wall.as_micros());
-        let _ = write!(out, "{pad}  \"counters\": {{");
-        for (i, (c, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{}\": {v}", c.as_str());
-        }
-        let _ = writeln!(out, "}},");
-        if !self.hists.is_empty() {
-            let _ = write!(out, "{pad}  \"hists\": {{");
-            for (i, (c, h)) in self.hists.iter().enumerate() {
-                let sep = if i == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}\"{}\": {}", c.as_str(), h.to_json());
-            }
-            let _ = writeln!(out, "}},");
-        }
-        if self.children.is_empty() {
-            let _ = writeln!(out, "{pad}  \"children\": []");
-        } else {
-            let _ = writeln!(out, "{pad}  \"children\": [");
-            for (i, child) in self.children.iter().enumerate() {
-                child.write_json(out, indent + 4);
-                if i + 1 < self.children.len() {
-                    out.truncate(out.trim_end_matches('\n').len());
-                    out.push_str(",\n");
-                }
-            }
-            let _ = writeln!(out, "{pad}  ]");
-        }
-        let _ = writeln!(out, "{pad}}}");
-    }
 }
 
 /// A finished span tree — what a simulator hands back inside a
@@ -307,14 +271,6 @@ impl Trace {
         self.root.write_fingerprint(&mut out, 0);
         out
     }
-
-    /// Serializes the span tree to JSON (`name`, `wall_us`, `counters`,
-    /// `children`, recursively).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.root.write_json(&mut out, 0);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -362,25 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn json_is_balanced_and_contains_counters() {
-        let t = sample();
-        let json = t.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"probes\": 5"));
-        assert!(json.contains("\"name\": \"grandchild\""));
-        assert!(json.contains("\"wall_us\""));
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        let mut span = Span::start("quote\"back\\slash");
-        span.set(Counter::Nodes, 1);
-        let json = Trace::new(span.finish()).to_json();
-        assert!(json.contains("quote\\\"back\\\\slash"));
-    }
-
-    #[test]
     fn aggregate_sums_child_walls() {
         let a = Span::start("a").finish();
         let b = Span::start("b").finish();
@@ -411,7 +348,6 @@ mod tests {
         assert_eq!(hist.count(), 4);
         assert_eq!(hist.sum(), 10);
         assert!(t.fingerprint().contains("probes~[1:1 3:2 7:1]|4|10"));
-        assert!(t.to_json().contains("\"hists\""));
         assert_eq!(t.fingerprint(), build().fingerprint());
     }
 
@@ -431,8 +367,5 @@ mod tests {
         );
         assert_eq!(root.wall(), Duration::from_micros(100));
         assert_eq!(root.children()[0].wall(), Duration::from_micros(40));
-        let json = Trace::new(root).to_json();
-        assert!(json.contains("\"wall_us\": 100"));
-        assert!(json.contains("\"wall_us\": 40"));
     }
 }

@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use lcl::{HalfEdgeLabeling, OutLabel};
-use lcl_faults::{Degraded, FaultPlan, NodeFault, RunOptions};
+use lcl_faults::{record_fault, Degraded, FaultPlan, NodeFault, RunOptions};
 use lcl_graph::{NodeId, ShardMap};
 use lcl_local::{IdAssignment, SyncRun};
 use lcl_obs::{Counter, Event, RunReport, Span, Trace};
@@ -459,19 +459,17 @@ impl<'l> Fleet<'l> {
         }
         seat.respawns += 1;
         let attempt = seat.respawns;
-        seat.pending_faults.push(NodeFault {
-            node: seat.range_start as u64,
-            round: u64::from(superstep),
-            payload: format!(
+        record_fault(
+            &mut seat.pending_faults,
+            self.log,
+            seat.range_start as u64,
+            u64::from(superstep),
+            "shard-kill",
+            format!(
                 "shard {shard} worker killed at superstep {superstep}; respawn {attempt} of {cap}"
             ),
-        });
+        );
         if let Some(log) = self.log {
-            log.record(Event::Fault {
-                node: seat.range_start as u64,
-                round: u64::from(superstep),
-                fault: "shard-kill",
-            });
             log.record(Event::Retry {
                 stage: format!("shard/{shard}"),
                 attempt: u64::from(attempt),

@@ -86,14 +86,6 @@ fn permuted_id_vec(ids: &[u64], plan: &FaultPlan, n: usize) -> Vec<u64> {
     }
 }
 
-/// The [`IdAssignment`] a faulted view-based run actually used.
-fn permuted_assignment(ids: &IdAssignment, plan: &FaultPlan, n: usize) -> IdAssignment {
-    match plan.permutation(n) {
-        Some(perm) => ids.permuted(&perm),
-        None => ids.clone(),
-    }
-}
-
 /// Certifies (and repairs if needed) the degraded outcome of
 /// [`lcl_local::simulate_sync_with`] under a fault plan. The mending reference is a
 /// fault-free [`run_sync`] under the same ID permutation, panic-isolated
@@ -149,7 +141,7 @@ pub fn repair_local_degraded<P: Problem + ?Sized>(
 ) -> ModelRepair {
     let mut span = Span::start(format!("recover/local/{}", alg.name()));
     span.set(Counter::Faults, degraded.faults.len() as u64);
-    let ids = permuted_assignment(ids, plan, graph.node_count());
+    let ids = ids.under(Some(plan));
     let reference =
         isolate(|| lcl_local::run_deterministic(alg, graph, input, &ids, n_announced).output).ok();
     let result = certify_or_repair(
@@ -184,7 +176,7 @@ pub fn repair_volume_degraded<P: Problem + ?Sized>(
 ) -> ModelRepair {
     let mut span = Span::start(format!("recover/volume/{}", alg.name()));
     span.set(Counter::Faults, degraded.faults.len() as u64);
-    let ids = permuted_assignment(ids, plan, graph.node_count());
+    let ids = ids.under(Some(plan));
     let reference = isolate(|| lcl_volume::run_volume(alg, graph, input, &ids, n_announced))
         .ok()
         .and_then(|r| r.ok())
@@ -219,7 +211,7 @@ pub fn repair_lca_degraded<P: Problem + ?Sized>(
 ) -> ModelRepair {
     let mut span = Span::start(format!("recover/lca/{}", alg.name()));
     span.set(Counter::Faults, degraded.faults.len() as u64);
-    let ids = permuted_assignment(ids, plan, graph.node_count());
+    let ids = ids.under(Some(plan));
     let reference = isolate(|| lcl_volume::run_lca(alg, graph, input, &ids))
         .ok()
         .and_then(|r| r.ok())
@@ -256,23 +248,9 @@ pub fn repair_prod_degraded<P: Problem + ?Sized>(
 ) -> ModelRepair {
     let mut span = Span::start(format!("recover/prod/{}", alg.name()));
     span.set(Counter::Faults, degraded.faults.len() as u64);
-    let permuted;
-    let ids = if plan.permutes_ids() {
-        let perms: Vec<Vec<usize>> = grid
-            .dims()
-            .iter()
-            .map(|&s| {
-                plan.permutation(s)
-                    .expect("why: permutes_ids() returned true, so permutation() is Some")
-            })
-            .collect();
-        permuted = ids.permuted(&perms);
-        &permuted
-    } else {
-        ids
-    };
+    let ids = ids.under(Some(plan));
     let reference =
-        isolate(|| lcl_grid::run_prod_local(alg, grid, input, ids, n_announced).output).ok();
+        isolate(|| lcl_grid::run_prod_local(alg, grid, input, &ids, n_announced).output).ok();
     let result = certify_or_repair(
         &mut span,
         p,

@@ -32,7 +32,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
-use lcl_faults::{inject_panic, isolate, Budget, FaultPlan, NodeFault};
+use lcl_faults::{inject_panic, isolate, record_fault, Budget, FaultPlan, NodeFault};
 use lcl_graph::{Graph, NodeId, ShardMap};
 use lcl_local::{NodeInit, SyncAlgorithm};
 use lcl_obs::{Event, EventLog};
@@ -160,16 +160,7 @@ fn buffer_fault(
     tag: &'static str,
     payload: String,
 ) {
-    events.record(Event::Fault {
-        node,
-        round: u64::from(round),
-        fault: tag,
-    });
-    buf.push(NodeFault {
-        node,
-        round: u64::from(round),
-        payload,
-    });
+    record_fault(buf, Some(events), node, u64::from(round), tag, payload);
 }
 
 /// One shard's execution state, stepped one phase at a time by its

@@ -9,12 +9,14 @@
 //! the transfer.
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
-use lcl_graph::{Graph, NodeId};
-use lcl_obs::{Counter, EventLog, RunReport, Span, Trace};
+use lcl_faults::{Degraded, RunOptions};
+use lcl_graph::Graph;
+use lcl_obs::{Counter, RunReport, Trace};
 
 use lcl_local::IdAssignment;
 
 use crate::algorithm::{NodeInfo, ProbeError, ProbeSession, VolumeAlgorithm};
+use crate::run::{answer_queries, VolumeRun};
 
 /// A probe session extended with far probes (identifier lookup).
 #[derive(Debug)]
@@ -90,52 +92,32 @@ pub trait LcaAlgorithm {
     }
 }
 
-/// Runs an LCA under [`RunOptions`](lcl_faults::RunOptions): optional
-/// event capture, optional fault plan. With a fault plan the run is the
-/// degrading executor of [`crate::faulted`] (per-query degradation, the
-/// `Err` leg never taken); without one a [`ProbeError`] surfaces typed
-/// and a clean run returns
-/// [`Degraded::clean`](lcl_faults::Degraded::clean). The announced node
-/// count is fixed by the LCA promise; a `RunOptions` budget has no
-/// probe dimension and is ignored here.
+/// Runs an LCA under [`RunOptions`]: optional event capture, optional
+/// fault plan. It shares the VOLUME query loop of [`crate::run`]: a fault
+/// plan may permute `ids` (keeping them `1..=n`) and degrades per query,
+/// the `Err` leg never taken; without one a [`ProbeError`] surfaces typed and a clean
+/// run returns [`Degraded::clean`]. The announced node count is fixed
+/// by the LCA promise; a `RunOptions` budget has no probe dimension and
+/// is ignored here.
 ///
 /// # Errors
 ///
-/// On the plan-free path only: the first [`ProbeError`] any query runs
+/// Without a fault plan only: the first [`ProbeError`] any query runs
 /// into.
 ///
 /// # Panics
 ///
 /// Panics unless `ids` is a permutation of `0..n` shifted by one
-/// (`1..=n`), which is the LCA model's identifier promise.
+/// (`1..=n`), which is the LCA model's identifier promise; on isolated
+/// nodes; and without a fault plan if the algorithm panics or
+/// mislabels the queried node's arity.
 pub fn simulate_lca_with(
     alg: &(impl LcaAlgorithm + ?Sized),
     graph: &Graph,
     input: &HalfEdgeLabeling<InLabel>,
     ids: &IdAssignment,
-    opts: lcl_faults::RunOptions<'_>,
-) -> Result<RunReport<lcl_faults::Degraded<crate::run::VolumeRun>>, ProbeError> {
-    match opts.fault_plan() {
-        Some(plan) => Ok(crate::faulted::simulate_lca_faulted_impl(
-            alg,
-            graph,
-            input,
-            ids,
-            plan,
-            opts.event_log(),
-        )),
-        None => Ok(simulate_lca_impl(alg, graph, input, ids, opts.event_log())?
-            .map(lcl_faults::Degraded::clean)),
-    }
-}
-
-pub(crate) fn simulate_lca_impl(
-    alg: &(impl LcaAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    log: Option<&EventLog>,
-) -> Result<RunReport<crate::run::VolumeRun>, ProbeError> {
+    opts: RunOptions<'_>,
+) -> Result<RunReport<Degraded<VolumeRun>>, ProbeError> {
     let n = graph.node_count();
     let mut sorted: Vec<u64> = ids.iter().collect();
     sorted.sort_unstable();
@@ -143,54 +125,23 @@ pub(crate) fn simulate_lca_impl(
         sorted == (1..=n as u64).collect::<Vec<_>>(),
         "LCA identifiers must be exactly 1..=n"
     );
-    let budget = alg.probe_budget(n);
-    let mut span = Span::start(format!("lca/{}", alg.name()));
-    let mut max_probes = 0usize;
-    let mut total_probes = 0usize;
-    let mut far_probes = 0usize;
-    let mut failure: Option<ProbeError> = None;
-    let output = HalfEdgeLabeling::from_node_fn(graph, |v: NodeId| {
-        if failure.is_some() {
-            return vec![OutLabel(0); graph.degree(v) as usize];
-        }
-        let mut inner = ProbeSession::new(graph, input, ids, v, budget, n, log);
-        let mut session = LcaSession::new(&mut inner, graph, input, ids);
-        match alg.answer(&mut session) {
-            Ok(labels) => {
-                assert_eq!(
-                    labels.len(),
-                    graph.degree(v) as usize,
-                    "algorithm {} must label each half-edge of the queried node",
-                    alg.name()
-                );
-                let far = session.far_probes_used();
-                let used = far + inner.probes_used();
-                far_probes += far;
-                max_probes = max_probes.max(used);
-                total_probes += used;
-                span.observe(Counter::Probes, used as u64);
-                labels
-            }
-            Err(e) => {
-                failure = Some(e);
-                vec![OutLabel(0); graph.degree(v) as usize]
-            }
-        }
-    });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    span.set(Counter::Nodes, graph.node_count() as u64);
-    span.set(Counter::Edges, graph.edge_count() as u64);
-    span.set(Counter::Queries, graph.node_count() as u64);
-    span.set(Counter::Probes, total_probes as u64);
-    span.set(Counter::MaxProbes, max_probes as u64);
+    let ids = ids.under(opts.fault_plan());
+    let (run, mut span, far_probes) = answer_queries(
+        "lca",
+        alg.name(),
+        graph,
+        input,
+        &ids,
+        alg.probe_budget(n),
+        n,
+        opts,
+        |session| {
+            let mut lca = LcaSession::new(session, graph, input, &ids);
+            let answer = alg.answer(&mut lca);
+            (answer, lca.far_probes_used())
+        },
+    )?;
     span.set(Counter::FarProbes, far_probes as u64);
-    let run = crate::run::VolumeRun {
-        output,
-        max_probes,
-        total_probes,
-    };
     Ok(RunReport::new(run, Trace::new(span.finish())))
 }
 
@@ -208,8 +159,12 @@ pub fn run_lca(
     graph: &Graph,
     input: &HalfEdgeLabeling<InLabel>,
     ids: &IdAssignment,
-) -> Result<crate::run::VolumeRun, ProbeError> {
-    Ok(simulate_lca_impl(alg, graph, input, ids, None)?.outcome)
+) -> Result<VolumeRun, ProbeError> {
+    Ok(
+        simulate_lca_with(alg, graph, input, ids, RunOptions::new())?
+            .outcome
+            .outcome,
+    )
 }
 
 /// Adapts a VOLUME algorithm into an LCA that never uses far probes — the
@@ -299,8 +254,8 @@ mod tests {
                 Ok(vec![OutLabel(u32::from(info.degree)); d])
             }
         }
-        let report =
-            simulate_lca_impl(&FarDegree, &g, &input, &ids, None).expect("far probes only");
+        let report = simulate_lca_with(&FarDegree, &g, &input, &ids, RunOptions::new())
+            .expect("far probes only");
         assert_eq!(report.trace.total(Counter::FarProbes), 5);
         assert_eq!(report.trace.total(Counter::Probes), 5);
         assert_eq!(report.trace.total(Counter::MaxProbes), 1);
@@ -308,7 +263,6 @@ mod tests {
 
     #[test]
     fn cost_model_counts_near_probes() {
-        use lcl_faults::RunOptions;
         use lcl_obs::{CostKind, EventLog};
         let g = gen::path(4);
         let input = lcl::uniform_input(&g);

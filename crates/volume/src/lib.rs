@@ -48,7 +48,6 @@
 //! panic, so a buggy algorithm yields a reportable failure.
 
 pub mod algorithm;
-pub mod faulted;
 pub mod lca;
 pub mod order_invariant;
 pub mod run;

@@ -305,3 +305,145 @@ fn tower_level_verifier_catches_corruption() {
         assert_eq!(first, second, "verifier must be deterministic");
     }
 }
+
+/// A 1-probe VOLUME algorithm echoing its first neighbor's identifier.
+fn first_neighbor() -> impl lcl_landscape::volume::VolumeAlgorithm {
+    use lcl_landscape::volume::{FnVolumeAlgorithm, ProbeSession};
+    FnVolumeAlgorithm::new(
+        "first-neighbor",
+        |_| 1,
+        |s: &mut ProbeSession<'_>| {
+            let degree = s.queried().degree as usize;
+            let neighbor = s.probe(0, 0)?;
+            Ok(vec![OutLabel((neighbor.id % 7) as u32); degree])
+        },
+    )
+}
+
+/// LOCAL, VOLUME, LCA and PROD-LOCAL each run with or without a fault
+/// plan through one executor: an empty plan changes nothing, and under
+/// a crash plan the view models still charge one materialized view per
+/// uncrashed node (the probe models log probes, not views).
+#[test]
+fn empty_plans_change_nothing_and_crash_plans_still_charge_views() {
+    use lcl_landscape::faults::{Degraded, Fault, FaultPlan, RunOptions};
+    use lcl_landscape::grid::{FnProdAlgorithm, OrientedGrid, ProdIds};
+    use lcl_landscape::local::FnAlgorithm;
+    use lcl_landscape::obs::{CostKind, EventLog};
+    use lcl_landscape::volume::lca::VolumeAsLca;
+
+    type Run<'a> = Box<dyn Fn(RunOptions<'_>) -> Degraded<HalfEdgeLabeling<OutLabel>> + 'a>;
+    let g = gen::cycle(8);
+    let input = uniform_input(&g);
+    // Exactly 1..=n, so the same assignment serves the LCA promise.
+    let ids = IdAssignment::from_vec((1..=8).collect());
+    let grid = OrientedGrid::new(&[4, 4]);
+    let grid_input = uniform_input(grid.graph());
+    let grid_ids = ProdIds::sequential(&grid);
+    let local_alg = FnAlgorithm::new(
+        "max-id",
+        |_| 1,
+        |view| {
+            let max = view.ids.iter().copied().max().unwrap_or(0);
+            vec![OutLabel((max % 7) as u32); view.center_degree()]
+        },
+    );
+    let volume_alg = first_neighbor();
+    let lca_alg = VolumeAsLca(first_neighbor());
+    let prod_alg = FnProdAlgorithm::new(
+        "echo-left",
+        |_| 1,
+        |view| vec![OutLabel((view.id(0, -1) % 7) as u32); 2 * view.d],
+    );
+    // (model, node count, whether it materializes views, run)
+    let models: Vec<(&str, u64, bool, Run<'_>)> = vec![
+        (
+            "LOCAL",
+            8,
+            true,
+            Box::new(|opts| {
+                let report =
+                    lcl_landscape::local::simulate_with(&local_alg, &g, &input, &ids, None, opts);
+                let Degraded { outcome, faults } = report.outcome;
+                Degraded {
+                    outcome: outcome.output,
+                    faults,
+                }
+            }),
+        ),
+        (
+            "VOLUME",
+            8,
+            false,
+            Box::new(|opts| {
+                let report =
+                    lcl_landscape::volume::simulate_with(&volume_alg, &g, &input, &ids, None, opts)
+                        .expect("in budget");
+                let Degraded { outcome, faults } = report.outcome;
+                Degraded {
+                    outcome: outcome.output,
+                    faults,
+                }
+            }),
+        ),
+        (
+            "LCA",
+            8,
+            false,
+            Box::new(|opts| {
+                let report =
+                    lcl_landscape::volume::simulate_lca_with(&lca_alg, &g, &input, &ids, opts)
+                        .expect("in budget");
+                let Degraded { outcome, faults } = report.outcome;
+                Degraded {
+                    outcome: outcome.output,
+                    faults,
+                }
+            }),
+        ),
+        (
+            "PROD-LOCAL",
+            16,
+            true,
+            Box::new(|opts| {
+                let report = lcl_landscape::grid::simulate_with(
+                    &prod_alg,
+                    &grid,
+                    &grid_input,
+                    &grid_ids,
+                    None,
+                    opts,
+                );
+                let Degraded { outcome, faults } = report.outcome;
+                Degraded {
+                    outcome: outcome.output,
+                    faults,
+                }
+            }),
+        ),
+    ];
+    let empty = FaultPlan::new(5);
+    let crash = FaultPlan::new(0)
+        .with(Fault::Crash { node: 2, round: 0 })
+        .with(Fault::Crash { node: 5, round: 0 });
+    for (model, n, views, run) in &models {
+        let plain = run(RunOptions::new());
+        let under_empty = run(RunOptions::new().faults(&empty));
+        assert!(
+            !under_empty.is_degraded(),
+            "{model}: {:?}",
+            under_empty.faults
+        );
+        assert_eq!(under_empty, plain, "{model}");
+
+        let log = EventLog::new(0);
+        let crashed = run(RunOptions::new().faults(&crash).events(&log));
+        assert_eq!(crashed.faults.len(), 2, "{model}: {:?}", crashed.faults);
+        let charged = if *views { n - 2 } else { 0 };
+        assert_eq!(
+            log.cost_model().get(CostKind::ViewMaterialized),
+            charged,
+            "{model}"
+        );
+    }
+}
