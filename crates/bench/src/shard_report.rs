@@ -22,13 +22,13 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use lcl::{uniform_input, OutLabel};
+use lcl::uniform_input;
 use lcl_core::{tree_speedup, SpeedupOptions, SpeedupOutcome};
 use lcl_faults::{FaultPlan, RunOptions};
 use lcl_graph::gen;
-use lcl_local::{NodeInit, SyncAlgorithm};
 use lcl_obs::Counter;
 use lcl_problems::anti_matching;
+use lcl_procshard::GuardedFlood;
 use lcl_recover::RepairOptions;
 use lcl_shard::{repair_sharded, simulate_sharded_with};
 
@@ -47,64 +47,6 @@ const CHAOS_NODES: usize = 4_096;
 const CHAOS_SEED: u64 = 0x5a4d_c0de;
 /// Whole-shard losses in the chaos plan (⌈SHARDS/4⌉).
 const CRASHES: usize = SHARDS.div_ceil(4);
-
-/// Round-guarded flooding (mirrors the chaos soak's scale fixture): a
-/// node ignores messages once its own round counter reaches `k`, so the
-/// output is `1` exactly where the node's identifier is maximal within
-/// distance `k`.
-struct GuardedFlood {
-    k: u32,
-}
-
-#[derive(Clone)]
-struct FloodState {
-    best: u64,
-    mine: u64,
-    degree: usize,
-    round: u32,
-    k: u32,
-}
-
-impl SyncAlgorithm for GuardedFlood {
-    type State = FloodState;
-    type Msg = u64;
-
-    fn init(&self, init: &NodeInit) -> FloodState {
-        FloodState {
-            best: init.id,
-            mine: init.id,
-            degree: init.degree as usize,
-            round: 0,
-            k: self.k,
-        }
-    }
-
-    fn send(&self, state: &FloodState, _round: u32) -> Vec<u64> {
-        vec![state.best; state.degree]
-    }
-
-    fn receive(&self, state: &mut FloodState, inbox: &[u64], _round: u32) {
-        if state.round >= state.k {
-            return;
-        }
-        for &msg in inbox {
-            state.best = state.best.max(msg);
-        }
-        state.round += 1;
-    }
-
-    fn is_done(&self, state: &FloodState) -> bool {
-        state.round >= state.k
-    }
-
-    fn output(&self, state: &FloodState) -> Vec<OutLabel> {
-        vec![OutLabel(u32::from(state.best == state.mine)); state.degree]
-    }
-
-    fn name(&self) -> &str {
-        "guarded-flood"
-    }
-}
 
 /// Everything `BENCH_shard.json` records.
 pub struct ShardNumbers {

@@ -85,6 +85,14 @@ impl Budget {
         }
     }
 
+    /// The round cap of a LOCAL run under this budget: the smaller of
+    /// `max_rounds` and the budget's cap, saturated at `u32::MAX`.
+    pub fn round_cap(&self, max_rounds: u32) -> u32 {
+        self.max_rounds.map_or(max_rounds, |cap| {
+            max_rounds.min(u32::try_from(cap).unwrap_or(u32::MAX))
+        })
+    }
+
     /// A fresh [`CancelToken`] for this budget, with the deadline (if
     /// any) armed from now.
     pub fn token(&self) -> CancelToken {
@@ -303,6 +311,16 @@ mod tests {
         assert!(b.check_labels("s", u64::MAX, 0).is_ok());
         assert!(b.check_rounds("s", u64::MAX, 0).is_ok());
         assert!(b.check_memory("s", u64::MAX, 0).is_ok());
+    }
+
+    #[test]
+    fn round_cap_takes_the_smaller_cap_and_saturates() {
+        assert_eq!(Budget::unlimited().round_cap(7), 7);
+        assert_eq!(Budget::unlimited().with_max_rounds(3).round_cap(7), 3);
+        assert_eq!(Budget::unlimited().with_max_rounds(30).round_cap(7), 7);
+        let above = Budget::unlimited().with_max_rounds(u64::from(u32::MAX) + 1);
+        assert_eq!(above.round_cap(7), 7);
+        assert_eq!(above.round_cap(u32::MAX), u32::MAX, "saturates at u32::MAX");
     }
 
     #[test]

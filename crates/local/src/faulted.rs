@@ -35,7 +35,7 @@ use lcl_faults::{inject_panic, isolate, record_fault, Degraded, FaultPlan, NodeF
 use lcl_graph::Graph;
 use lcl_obs::{Counter, Event, EventLog, RunReport, Span, Trace};
 
-use crate::ids::IdAssignment;
+use crate::ids::ids_under;
 use crate::sync::{NodeInit, SyncAlgorithm, SyncRun};
 
 #[allow(clippy::too_many_arguments)]
@@ -50,17 +50,7 @@ pub(crate) fn simulate_sync_faulted_impl<A: SyncAlgorithm>(
     log: Option<&EventLog>,
 ) -> RunReport<Degraded<SyncRun>> {
     assert_eq!(ids.len(), graph.node_count(), "ids cover the graph");
-    let owned;
-    let ids = match plan.permutation(graph.node_count()) {
-        Some(perm) => {
-            owned = IdAssignment::from_vec(ids.to_vec())
-                .permuted(&perm)
-                .iter()
-                .collect::<Vec<u64>>();
-            &owned[..]
-        }
-        None => ids,
-    };
+    let ids = ids_under(ids, Some(plan));
     let n = n_announced.unwrap_or_else(|| graph.node_count());
     let mut span = Span::start(format!("local/sync-faulted/{}", alg.name()));
     let mut faults: Vec<NodeFault> = Vec::new();
@@ -307,6 +297,7 @@ pub(crate) fn simulate_sync_faulted_impl<A: SyncAlgorithm>(
 mod tests {
     use super::*;
     use crate::algorithm::FnAlgorithm;
+    use crate::ids::IdAssignment;
     use crate::run::simulate_with;
     use crate::view::View;
     use lcl_faults::{Fault, RunOptions};

@@ -122,9 +122,9 @@ impl IdAssignment {
     /// by the plan's adversarial permutation when it asks for one, else
     /// `self` unchanged.
     pub fn under(&self, plan: Option<&FaultPlan>) -> Cow<'_, Self> {
-        match plan.and_then(|p| p.permutation(self.len())) {
-            Some(perm) => Cow::Owned(self.permuted(&perm)),
-            None => Cow::Borrowed(self),
+        match ids_under(&self.ids, plan) {
+            Cow::Owned(ids) => Cow::Owned(Self { ids }),
+            Cow::Borrowed(_) => Cow::Borrowed(self),
         }
     }
 
@@ -155,6 +155,22 @@ impl IdAssignment {
     }
 }
 
+/// [`IdAssignment::under`] for a plain id slice, as the sync executors
+/// take their ids: the plan's permutation applied to the whole slice
+/// when the plan asks for one, else the slice borrowed unchanged.
+///
+/// # Panics
+///
+/// Panics if the plan permutes and the identifiers are not unique.
+pub fn ids_under<'a>(ids: &'a [u64], plan: Option<&FaultPlan>) -> Cow<'a, [u64]> {
+    match plan.and_then(|p| p.permutation(ids.len())) {
+        Some(perm) => {
+            Cow::Owned(IdAssignment::from_vec(perm.iter().map(|&i| ids[i]).collect()).ids)
+        }
+        None => Cow::Borrowed(ids),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +184,12 @@ mod tests {
         let shuffle = FaultPlan::new(3).with_permuted_ids();
         let perm = shuffle.permutation(5).expect("asked for");
         assert_eq!(*ids.under(Some(&shuffle)), ids.permuted(&perm));
+
+        let slice: Vec<u64> = ids.iter().collect();
+        assert!(matches!(ids_under(&slice, None), Cow::Borrowed(_)));
+        assert!(matches!(ids_under(&slice, Some(&quiet)), Cow::Borrowed(_)));
+        let moved: Vec<u64> = ids.permuted(&perm).iter().collect();
+        assert_eq!(*ids_under(&slice, Some(&shuffle)), moved[..]);
     }
 
     #[test]

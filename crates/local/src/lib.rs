@@ -55,7 +55,7 @@ pub mod view;
 
 pub use algorithm::{FnAlgorithm, LocalAlgorithm};
 pub use congest::{run_congest, CongestRun, MessageBits};
-pub use ids::IdAssignment;
+pub use ids::{ids_under, IdAssignment};
 pub use measure::minimal_solving_radius;
 pub use order_invariant::{
     is_empirically_order_invariant, run_order_invariant, OrderInvariantAlgorithm, RankView,

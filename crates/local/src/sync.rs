@@ -128,11 +128,11 @@ pub fn simulate_sync_with<A: SyncAlgorithm>(
     max_rounds: u32,
     opts: lcl_faults::RunOptions<'_>,
 ) -> RunReport<Degraded<SyncRun>> {
-    let budget_rounds = opts.run_budget().max_rounds;
-    let effective = budget_rounds.map_or(max_rounds, |cap| {
-        max_rounds.min(u32::try_from(cap).unwrap_or(u32::MAX))
-    });
-    match opts.fault_plan() {
+    let budget = opts.run_budget();
+    let effective = budget.round_cap(max_rounds);
+    let unfaulted = FaultPlan::new(0);
+    let plan = opts.fault_plan().or(budget.max_rounds.map(|_| &unfaulted));
+    match plan {
         Some(plan) => crate::faulted::simulate_sync_faulted_impl(
             alg,
             graph,
@@ -143,19 +143,6 @@ pub fn simulate_sync_with<A: SyncAlgorithm>(
             plan,
             opts.event_log(),
         ),
-        None if budget_rounds.is_some() => {
-            let unfaulted = FaultPlan::new(0);
-            crate::faulted::simulate_sync_faulted_impl(
-                alg,
-                graph,
-                input,
-                ids,
-                n_announced,
-                effective,
-                &unfaulted,
-                opts.event_log(),
-            )
-        }
         None => simulate_sync_impl(
             alg,
             graph,

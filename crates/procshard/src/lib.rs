@@ -14,17 +14,19 @@
 //!   [`lcl_service::protocol`]. Halo payloads are opaque to the
 //!   supervisor; faults, events, and labels have exact codecs.
 //! - [`worker`] — the child side: wire decode and encode around the
-//!   same [`lcl_shard::ShardStepper`] the in-process executor drives,
-//!   stepped by supervisor commands instead of thread barriers.
-//! - [`supervisor`] — the parent side: spawns the fleet, drives the
-//!   barrier, arms socket deadlines as per-superstep heartbeats,
-//!   SIGKILLs shards the fault plan says to kill, and brings dead
-//!   workers back by capped respawn plus command-history replay.
+//!   same [`lcl_shard::ShardStepper`] the in-process executor steps,
+//!   driven by supervisor commands instead of thread barriers.
+//! - [`supervisor`] — the parent side: the process transport of
+//!   [`lcl_shard::coordinate`]. It spawns the fleet, arms socket
+//!   deadlines as per-superstep heartbeats, SIGKILLs shards the fault
+//!   plan says to kill, and brings dead workers back by capped respawn
+//!   plus command-history replay.
 //!
-//! The headline invariant: a clean `proc_sharded(1)` run is
-//! bit-identical — outcome, fault list, round and message counts — to
-//! the in-process `sharded(1)` run and to the unsharded executor, and
-//! a run whose only faults are `ShardKill`s produces output
+//! The headline invariant: a proc-sharded run without kills is
+//! bit-identical — outcome, fault list, counters, event log — to the
+//! in-process run at the same shard count, and so, for plans without
+//! whole-shard losses, to the unsharded executor; a run whose only
+//! faults are `ShardKill`s produces output
 //! bit-identical to the clean run (kills are output-transparent;
 //! they surface only as `"shard-kill"` faults, retry events, and the
 //! `retries` counter).

@@ -111,10 +111,10 @@ pub struct ProcJob {
     pub input: InputSpec,
     /// Per-node identifiers, one per node of the graph (a different
     /// count is [`ProcError::IdCount`](crate::ProcError::IdCount)).
-    /// These are pre-permutation: the supervisor applies the fault
-    /// plan's ID permutation to the whole assignment, exactly like the
-    /// in-process executor, and then ships each worker only the ids of
-    /// the nodes it owns.
+    /// These are pre-permutation: the coordinator applies the fault
+    /// plan's ID permutation to the whole assignment, for both
+    /// transports alike, and each worker is shipped only the ids of the
+    /// nodes it owns.
     pub ids: Vec<u64>,
     /// The announced `n` handed to [`NodeInit`], or `None` for the
     /// true node count.

@@ -1,15 +1,13 @@
-//! The shard supervisor: owns a fleet of worker processes and drives
-//! the superstep barrier over Unix sockets.
+//! The shard supervisor: the process transport of the superstep
+//! coordinator, over a fleet of worker processes and Unix sockets.
 //!
-//! The supervisor is the only process that sees the whole run. It
-//! spawns one `shard-worker` child per shard, ships each an
-//! [`InitCmd`], and then walks the same phase sequence as the
-//! in-process coordinator — begin, compute, deliver, finish, output —
-//! broadcasting each command to every worker and collecting replies in
-//! shard order, which reconstructs the exact global fault and event
-//! order of the in-process executor. Halo batches travel through the
-//! supervisor as opaque strings: it never decodes a message payload,
-//! so it is not generic over the algorithm.
+//! The supervisor is the only process that sees the whole run. Its
+//! fleet spawns one `shard-worker` child per shard and ships each an
+//! [`InitCmd`]; it then answers every phase of the coordinator's round
+//! loop ([`lcl_shard::coordinate`]) by broadcasting the phase command
+//! and collecting each worker's reply in shard order. Halo batches
+//! travel through it as opaque strings: it never decodes a message
+//! payload, so it is not generic over the algorithm.
 //!
 //! # Death, heartbeats, and respawn
 //!
@@ -36,29 +34,26 @@
 //! filters kills out), so the kill exercises the exact machinery an
 //! unplanned crash would.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use lcl::{HalfEdgeLabeling, OutLabel};
-use lcl_faults::{record_fault, Degraded, FaultPlan, NodeFault, RunOptions};
-use lcl_graph::{NodeId, ShardMap};
-use lcl_local::{IdAssignment, SyncRun};
-use lcl_obs::{Counter, Event, RunReport, Span, Trace};
+use lcl_faults::{record_fault, Degraded, NodeFault, RunOptions};
+use lcl_local::SyncRun;
+use lcl_obs::{Event, RunReport};
 use lcl_recover::RetryPolicy;
 use lcl_service::arm_deadlines;
 use lcl_service::protocol::{parse_flat_object, Scalar};
-use lcl_shard::ShardSnapshot;
+use lcl_shard::{coordinate, Setup, ShardReply, ShardSnapshot, ShardTransport, StepCounters};
 
 use crate::spec::ProcJob;
 use crate::wire::{
     decode_events, decode_faults, decode_labels, encode_flags, open_line, push_num_field,
-    push_text_field, want_bool, want_num, want_str, write_line, InitCmd,
+    push_text_field, read_line, split_batches, want_bool, want_num, want_str, write_line, InitCmd,
 };
 
 /// Supervisor knobs that live outside [`RunOptions`]: where the worker
@@ -217,8 +212,9 @@ impl Conn {
 }
 
 /// One shard's seat in the fleet: its connection (if alive), the full
-/// command history for replay rehydration, and the latest totals its
+/// command history for replay rehydration, and the latest counters its
 /// replies reported.
+#[derive(Default)]
 struct Seat {
     range_start: usize,
     conn: Option<Conn>,
@@ -227,16 +223,13 @@ struct Seat {
     /// integrity anchor.
     last_snapshot: Option<String>,
     respawns: u32,
-    /// Kill/death faults queued for the next `f_crash` merge point.
+    /// Kill/death faults for the front of the next reply's crash buffer.
     pending_faults: Vec<NodeFault>,
-    all_done: bool,
-    crashes: u64,
-    rebuilds: u64,
-    checkpoints: u64,
-    supersteps: u64,
-    halo_messages: u64,
-    halo_bytes: u64,
+    counters: StepCounters,
 }
+
+/// One parsed reply line.
+type Fields = [(String, Scalar)];
 
 /// How a reply read ended when it did not produce fields.
 enum ReadFail {
@@ -247,8 +240,12 @@ enum ReadFail {
     Garbage(String),
 }
 
-/// The worker fleet plus everything needed to respawn its members.
+/// The process transport: the worker fleet, everything needed to
+/// respawn its members, and the halo batches in flight between the
+/// compute and deliver barriers.
 struct Fleet<'l> {
+    job: &'l ProcJob,
+    proc: &'l ProcOptions,
     worker_bin: PathBuf,
     socket_path: PathBuf,
     listener: UnixListener,
@@ -258,6 +255,12 @@ struct Fleet<'l> {
     respawn_cap: u32,
     log: Option<&'l lcl_obs::EventLog>,
     seats: Vec<Seat>,
+    /// Supersteps at which each shard's worker is SIGKILLed.
+    kill_at: Vec<Vec<u32>>,
+    /// Receiver shard → (sender shard → encoded entries), from the last
+    /// compute. Payloads stay opaque: the supervisor never decodes a
+    /// message, so it is not generic over the algorithm.
+    routed: Vec<BTreeMap<usize, String>>,
 }
 
 impl Drop for Fleet<'_> {
@@ -272,7 +275,13 @@ impl Drop for Fleet<'_> {
 }
 
 impl<'l> Fleet<'l> {
-    fn new(map: &ShardMap, opts: &RunOptions<'l>, proc: &ProcOptions) -> Result<Self, ProcError> {
+    /// Binds the fleet's socket; the seats come with the partition, at
+    /// init.
+    fn new(
+        job: &'l ProcJob,
+        opts: &RunOptions<'l>,
+        proc: &'l ProcOptions,
+    ) -> Result<Self, ProcError> {
         let worker_bin = resolve_worker_bin(proc)?;
         let serial = SOCKET_SERIAL.fetch_add(1, Ordering::Relaxed);
         let socket_path = std::env::temp_dir().join(format!(
@@ -291,24 +300,9 @@ impl<'l> Fleet<'l> {
                 error: e.to_string(),
             })?;
         let io_timeout_ms = opts.io_timeout_ms().unwrap_or(10_000);
-        let seats = (0..map.num_shards())
-            .map(|s| Seat {
-                range_start: map.range(s).start,
-                conn: None,
-                history: Vec::new(),
-                last_snapshot: None,
-                respawns: 0,
-                pending_faults: Vec::new(),
-                all_done: false,
-                crashes: 0,
-                rebuilds: 0,
-                checkpoints: 0,
-                supersteps: 0,
-                halo_messages: 0,
-                halo_bytes: 0,
-            })
-            .collect();
         Ok(Self {
+            job,
+            proc,
             worker_bin,
             socket_path,
             listener,
@@ -317,7 +311,9 @@ impl<'l> Fleet<'l> {
             policy: RetryPolicy::default(),
             respawn_cap: proc.respawn_cap(),
             log: opts.event_log(),
-            seats,
+            seats: Vec::new(),
+            kill_at: Vec::new(),
+            routed: Vec::new(),
         })
     }
 
@@ -401,18 +397,52 @@ impl<'l> Fleet<'l> {
         };
         seat.history.push(line);
         if failed {
-            if let Some(mut conn) = seat.conn.take() {
-                conn.kill_and_reap();
-            }
+            self.kill_now(shard);
         }
     }
 
-    /// Delivers a planned `SIGKILL`: the child dies mid-superstep and
-    /// the seat is left dead for [`Fleet::collect`] to revive.
+    /// Kills and reaps the seat's worker — a planned `SIGKILL`, or one
+    /// found dead — leaving the seat for [`Fleet::collect`] to revive.
     fn kill_now(&mut self, shard: usize) {
         if let Some(mut conn) = self.seats[shard].conn.take() {
             conn.kill_and_reap();
         }
+    }
+
+    /// Sends every shard its line of one phase command.
+    fn broadcast(&mut self, line: impl Fn(usize) -> String) {
+        for s in 0..self.seats.len() {
+            self.send(s, line(s));
+        }
+    }
+
+    /// Collects every shard's `op` reply to one phase command, in shard
+    /// order. `read` fills the phase's reply fields and seat counters
+    /// from the reply line; the seat's queued death faults lead the
+    /// reply's crash buffer, and its counters and respawns go along.
+    fn gather(
+        &mut self,
+        superstep: u32,
+        op: &str,
+        mut read: impl FnMut(usize, &Fields, &mut ShardReply, &mut Seat) -> Result<(), String>,
+    ) -> Result<Vec<ShardReply>, ProcError> {
+        let mut replies = Vec::with_capacity(self.seats.len());
+        for s in 0..self.seats.len() {
+            let fields = self.collect(s, superstep)?;
+            let got = want_str(&fields, "op").map_err(proto(s))?;
+            if got != op {
+                return Err(proto(s)(format!("expected a {op:?} reply, got {got:?}")));
+            }
+            let seat = &mut self.seats[s];
+            let mut reply = ShardReply::default();
+            read(s, &fields, &mut reply, seat).map_err(proto(s))?;
+            seat.pending_faults.append(&mut reply.faults.crash);
+            reply.faults.crash = std::mem::take(&mut seat.pending_faults);
+            reply.counters = seat.counters;
+            reply.respawns = u64::from(seat.respawns);
+            replies.push(reply);
+        }
+        Ok(replies)
     }
 
     /// Reads the pending reply from `shard`, reviving the worker (and
@@ -430,11 +460,7 @@ impl<'l> Fleet<'l> {
                     Err(ReadFail::Garbage(what)) => {
                         return Err(ProcError::Protocol { shard, what })
                     }
-                    Err(ReadFail::Dead) => {
-                        if let Some(mut conn) = self.seats[shard].conn.take() {
-                            conn.kill_and_reap();
-                        }
-                    }
+                    Err(ReadFail::Dead) => self.kill_now(shard),
                 }
             }
             self.revive(shard, superstep)?;
@@ -529,16 +555,9 @@ impl<'l> Fleet<'l> {
 
 /// Reads and parses one reply line from a worker connection.
 fn read_reply(conn: &mut Conn) -> Result<Vec<(String, Scalar)>, ReadFail> {
-    let mut line = String::new();
-    match conn.reader.read_line(&mut line) {
-        Ok(0) => Err(ReadFail::Dead),
-        Ok(_) => {
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
-            }
-            parse_flat_object(&line).map_err(|e| ReadFail::Garbage(e.to_string()))
-        }
-        Err(_) => Err(ReadFail::Dead),
+    match read_line(&mut conn.reader) {
+        Ok(Some(line)) => parse_flat_object(&line).map_err(|e| ReadFail::Garbage(e.to_string())),
+        Ok(None) | Err(_) => Err(ReadFail::Dead),
     }
 }
 
@@ -547,17 +566,164 @@ fn proto(shard: usize) -> impl Fn(String) -> ProcError {
     move |what| ProcError::Protocol { shard, what }
 }
 
-/// Runs `job` on the process-per-shard substrate.
+/// A phase command line: the numeric fields, then the text fields.
+fn command(op: &str, nums: &[(&str, u64)], texts: &[(&str, &str)]) -> String {
+    let mut line = open_line(op);
+    for &(name, value) in nums {
+        push_num_field(&mut line, name, value);
+    }
+    for &(name, value) in texts {
+        push_text_field(&mut line, name, value);
+    }
+    line.push('}');
+    line
+}
+
+/// Decodes the fault list in reply field `name`.
+fn faults_in(fields: &Fields, name: &'static str) -> Result<Vec<NodeFault>, String> {
+    decode_faults(&want_str(fields, name)?)
+}
+
+/// Shard `s`'s `init` command: the job's specs and the shard's own ids.
+fn init_command(job: &ProcJob, setup: &Setup<'_>, s: usize, proc: &ProcOptions) -> InitCmd {
+    InitCmd {
+        graph: job.graph.clone(),
+        alg: job.alg.clone(),
+        input: job.input.clone(),
+        ids: setup.ids[s].to_vec(),
+        n: setup.n,
+        shards: setup.map.num_shards(),
+        shard: s,
+        plan_text: setup.plan.to_text(),
+        hang_at: proc
+            .hang_at
+            .and_then(|(hung, at)| (hung == s).then_some(at)),
+    }
+}
+
+impl ShardTransport for Fleet<'_> {
+    type Error = ProcError;
+
+    fn init(&mut self, setup: &Setup<'_>) -> Result<(String, Vec<ShardReply>), ProcError> {
+        let m = setup.map.num_shards();
+        self.kill_at = (0..m).map(|s| setup.plan.shard_kills(s)).collect();
+        for s in 0..m {
+            self.seats.push(Seat {
+                range_start: setup.map.range(s).start,
+                conn: Some(self.spawn_worker(s)?),
+                ..Seat::default()
+            });
+            self.send(s, init_command(self.job, setup, s, self.proc).encode());
+        }
+        let mut name = String::from("shard-worker");
+        let replies = self.gather(0, "ready", |_, fields, reply, _| {
+            name = want_str(fields, "alg_name")?;
+            reply.faults.init = faults_in(fields, "f_init")?;
+            reply.faults.recv = faults_in(fields, "f_recv")?;
+            Ok(())
+        })?;
+        Ok((name, replies))
+    }
+
+    fn begin(&mut self, round: u32) -> Result<Vec<ShardReply>, ProcError> {
+        self.broadcast(|_| command("begin", &[("round", round.into())], &[]));
+        self.gather(round, "begun", |_, fields, reply, _| {
+            reply.all_done = want_bool(fields, "all_done")?;
+            Ok(())
+        })
+    }
+
+    fn finish(&mut self, round: u32, effective: u32) -> Result<Vec<ShardReply>, ProcError> {
+        let nums = [("round", round.into()), ("effective", effective.into())];
+        self.broadcast(|_| command("finish", &nums, &[]));
+        self.gather(round, "finished", |_, fields, reply, _| {
+            reply.faults.recv = faults_in(fields, "f_recv")?;
+            Ok(())
+        })
+    }
+
+    fn compute(&mut self, round: u32, crashed: &[bool]) -> Result<Vec<ShardReply>, ProcError> {
+        let flags = encode_flags(crashed);
+        let texts = [("crashed", flags.as_str())];
+        self.broadcast(|_| command("compute", &[("round", round.into())], &texts));
+        // Planned kills land after the command fan-out: the worker is
+        // mid-superstep (or about to be) when the SIGKILL arrives.
+        for s in 0..self.seats.len() {
+            if self.kill_at[s].binary_search(&round).is_ok() {
+                self.kill_now(s);
+            }
+        }
+        let m = crashed.len();
+        let mut routed = vec![BTreeMap::new(); m];
+        let replies = self.gather(round, "computed", |s, fields, reply, seat| {
+            for (dst, entries) in split_batches(&want_str(fields, "halos")?)? {
+                if dst >= m {
+                    return Err(format!("halo peer {dst} out of range"));
+                }
+                routed[dst].insert(s, entries.to_string());
+            }
+            reply.faults.crash = faults_in(fields, "f_crash")?;
+            reply.faults.send = faults_in(fields, "f_send")?;
+            let c = &mut seat.counters;
+            c.round_messages = want_num(fields, "round_messages")?;
+            c.crashes = want_num(fields, "crashes")?;
+            c.rebuilds = want_num(fields, "rebuilds")?;
+            c.checkpoints = want_num(fields, "checkpoints")?;
+            Ok(())
+        })?;
+        self.routed = routed;
+        Ok(replies)
+    }
+
+    fn deliver(&mut self, round: u32, crashed: &[bool]) -> Result<Vec<ShardReply>, ProcError> {
+        let flags = encode_flags(crashed);
+        let routed = std::mem::take(&mut self.routed);
+        self.broadcast(|s| {
+            let halos: Vec<String> = routed[s]
+                .iter()
+                .map(|(src, entries)| format!("{src}>{entries}"))
+                .collect();
+            let texts = [("crashed", flags.as_str()), ("halos", &halos.join("|"))];
+            command("deliver", &[("round", round.into())], &texts)
+        });
+        self.gather(round, "stepped", |_, fields, reply, seat| {
+            reply.faults.recv = faults_in(fields, "f_recv")?;
+            let snapshot = want_str(fields, "snapshot")?;
+            ShardSnapshot::parse(&snapshot).map_err(|e| format!("stepped snapshot: {e}"))?;
+            seat.last_snapshot = Some(snapshot);
+            let c = &mut seat.counters;
+            c.supersteps = want_num(fields, "supersteps")?;
+            c.halo_messages = want_num(fields, "halo_messages")?;
+            c.halo_bytes = want_num(fields, "halo_bytes")?;
+            Ok(())
+        })
+    }
+
+    fn output(&mut self, rounds: u32) -> Result<Vec<ShardReply>, ProcError> {
+        self.broadcast(|_| command("output", &[("rounds", rounds.into())], &[]));
+        self.gather(rounds, "outputs", |_, fields, reply, _| {
+            reply.labels = decode_labels(&want_str(fields, "labels")?)?;
+            reply.faults.out = faults_in(fields, "f_out")?;
+            reply.faults.recv = faults_in(fields, "f_recv")?;
+            reply.events = decode_events(&want_str(fields, "events")?)?;
+            Ok(())
+        })
+    }
+
+    fn bad_reply(&self, shard: usize, what: String) -> ProcError {
+        proto(shard)(format!("worker {what}"))
+    }
+}
+
+/// Runs `job` on the process-per-shard substrate: the superstep loop of
+/// [`lcl_shard::coordinate`], the one the in-process executor runs,
+/// over this module's fleet. See the crate docs for what the run equals.
 ///
 /// The shard count comes from [`RunOptions::shard_count`] (default 1);
 /// unlike the in-process executor there is no unsharded delegation —
 /// one shard means one worker process. Socket deadlines come from
 /// [`RunOptions::io_timeout`] (default 10 000 ms) and double as the
-/// per-superstep heartbeat. For plans without kills or whole-shard
-/// losses the returned outcome, fault list, and round/message counts
-/// are equal to `simulate_sharded_with` and the unsharded executor;
-/// kills are output-transparent (respawn + replay) and surface only as
-/// `"shard-kill"` faults, retry events, and the `retries` counter.
+/// per-superstep heartbeat.
 pub fn run_proc_sharded(
     job: &ProcJob,
     opts: RunOptions<'_>,
@@ -570,348 +736,45 @@ pub fn run_proc_sharded(
             nodes: graph.node_count(),
         });
     }
-    let empty_plan;
-    let plan: &FaultPlan = match opts.fault_plan() {
-        Some(plan) => plan,
-        None => {
-            empty_plan = FaultPlan::new(0);
-            &empty_plan
-        }
-    };
-    let log = opts.event_log();
-    let budget = opts.run_budget();
-    let effective = budget.max_rounds.map_or(job.max_rounds, |cap| {
-        job.max_rounds.min(u32::try_from(cap).unwrap_or(u32::MAX))
-    });
-    let requested = opts.shard_count().unwrap_or(1);
-    let map = ShardMap::new(graph.node_count(), requested);
-    let m = map.num_shards();
-    let crash_at: Vec<Vec<u32>> = (0..m).map(|s| plan.shard_crashes(s)).collect();
-    let kill_at: Vec<Vec<u32>> = (0..m).map(|s| plan.shard_kills(s)).collect();
-
-    let mut fleet = Fleet::new(&map, &opts, proc)?;
-    for (s, cmd) in init_commands(job, plan, &map, proc).iter().enumerate() {
-        let conn = fleet.spawn_worker(s)?;
-        fleet.seats[s].conn = Some(conn);
-        fleet.send(s, cmd.encode());
-    }
-
-    let mut faults: Vec<NodeFault> = Vec::new();
-    let mut alg_name = String::from("shard-worker");
-    let mut init_faults: Vec<(Vec<NodeFault>, Vec<NodeFault>)> = Vec::with_capacity(m);
-    for s in 0..m {
-        let reply = fleet.collect(s, 0)?;
-        expect_op(&reply, "ready", s)?;
-        alg_name = want_str(&reply, "alg_name").map_err(proto(s))?;
-        let f_init =
-            decode_faults(&want_str(&reply, "f_init").map_err(proto(s))?).map_err(proto(s))?;
-        let f_recv =
-            decode_faults(&want_str(&reply, "f_recv").map_err(proto(s))?).map_err(proto(s))?;
-        init_faults.push((f_init, f_recv));
-    }
-    for (f_init, _) in &mut init_faults {
-        faults.append(f_init);
-    }
-    for (_, f_recv) in &mut init_faults {
-        faults.append(f_recv);
-    }
-
-    let mut span = Span::start(format!("shard/sync/{alg_name}"));
-    let mut messages = 0u64;
-    let mut rounds = 0u32;
-
-    loop {
-        for s in 0..m {
-            let mut line = open_line("begin");
-            push_num_field(&mut line, "round", u64::from(rounds));
-            line.push('}');
-            fleet.send(s, line);
-        }
-        let mut all_done = true;
-        for s in 0..m {
-            let reply = fleet.collect(s, rounds)?;
-            expect_op(&reply, "begun", s)?;
-            let done = want_bool(&reply, "all_done").map_err(proto(s))?;
-            fleet.seats[s].all_done = done;
-            all_done &= done;
-        }
-        if all_done {
-            break;
-        }
-        if rounds >= effective {
-            for s in 0..m {
-                let mut line = open_line("finish");
-                push_num_field(&mut line, "round", u64::from(rounds));
-                push_num_field(&mut line, "effective", u64::from(effective));
-                line.push('}');
-                fleet.send(s, line);
-            }
-            let mut finish_faults: Vec<Vec<NodeFault>> = Vec::with_capacity(m);
-            for s in 0..m {
-                let reply = fleet.collect(s, rounds)?;
-                expect_op(&reply, "finished", s)?;
-                finish_faults.push(
-                    decode_faults(&want_str(&reply, "f_recv").map_err(proto(s))?)
-                        .map_err(proto(s))?,
-                );
-            }
-            for f in &mut finish_faults {
-                faults.append(f);
-            }
-            break;
-        }
-        if let Some(log) = log {
-            log.record(Event::RoundStart {
-                round: u64::from(rounds),
-            });
-        }
-        let crashed: Vec<bool> = (0..m)
-            .map(|s| crash_at[s].binary_search(&rounds).is_ok())
-            .collect();
-        let crashed_text = encode_flags(&crashed);
-        for s in 0..m {
-            let mut line = open_line("compute");
-            push_num_field(&mut line, "round", u64::from(rounds));
-            push_text_field(&mut line, "crashed", &crashed_text);
-            line.push('}');
-            fleet.send(s, line);
-        }
-        // Planned kills land after the command fan-out: the worker is
-        // mid-superstep (or about to be) when the SIGKILL arrives.
-        for (s, kills) in kill_at.iter().enumerate() {
-            if kills.binary_search(&rounds).is_ok() {
-                fleet.kill_now(s);
-            }
-        }
-        let mut round_messages = 0u64;
-        // Receiver shard → (sender shard → encoded entries).
-        let mut routed: Vec<BTreeMap<usize, String>> = vec![BTreeMap::new(); m];
-        let mut crash_send_faults: Vec<(Vec<NodeFault>, Vec<NodeFault>)> = Vec::with_capacity(m);
-        for s in 0..m {
-            let reply = fleet.collect(s, rounds)?;
-            expect_op(&reply, "computed", s)?;
-            round_messages += want_num(&reply, "round_messages").map_err(proto(s))?;
-            let halos = want_str(&reply, "halos").map_err(proto(s))?;
-            if !halos.is_empty() {
-                for chunk in halos.split('|') {
-                    let (dst, entries) = chunk.split_once('>').ok_or_else(|| {
-                        proto(s)(format!("halo batch {chunk:?} lacks a peer prefix"))
-                    })?;
-                    let dst: usize = dst
-                        .parse()
-                        .map_err(|_| proto(s)(format!("halo peer {dst:?}")))?;
-                    if dst >= m {
-                        return Err(proto(s)(format!("halo peer {dst} out of range")));
-                    }
-                    routed[dst].insert(s, entries.to_string());
-                }
-            }
-            let f_crash =
-                decode_faults(&want_str(&reply, "f_crash").map_err(proto(s))?).map_err(proto(s))?;
-            let f_send =
-                decode_faults(&want_str(&reply, "f_send").map_err(proto(s))?).map_err(proto(s))?;
-            crash_send_faults.push((f_crash, f_send));
-            let seat = &mut fleet.seats[s];
-            seat.crashes = want_num(&reply, "crashes").map_err(proto(s))?;
-            seat.rebuilds = want_num(&reply, "rebuilds").map_err(proto(s))?;
-            seat.checkpoints = want_num(&reply, "checkpoints").map_err(proto(s))?;
-        }
-        messages += round_messages;
-        for (s, (f_crash, _)) in crash_send_faults.iter_mut().enumerate() {
-            faults.append(&mut fleet.seats[s].pending_faults);
-            faults.append(f_crash);
-        }
-        for (_, f_send) in &mut crash_send_faults {
-            faults.append(f_send);
-        }
-        for (s, batches) in routed.iter().enumerate() {
-            let halos = batches
-                .iter()
-                .map(|(src, entries)| format!("{src}>{entries}"))
-                .collect::<Vec<_>>()
-                .join("|");
-            let mut line = open_line("deliver");
-            push_num_field(&mut line, "round", u64::from(rounds));
-            push_text_field(&mut line, "crashed", &crashed_text);
-            push_text_field(&mut line, "halos", &halos);
-            line.push('}');
-            fleet.send(s, line);
-        }
-        let mut recv_faults: Vec<Vec<NodeFault>> = Vec::with_capacity(m);
-        for s in 0..m {
-            let reply = fleet.collect(s, rounds)?;
-            expect_op(&reply, "stepped", s)?;
-            recv_faults.push(
-                decode_faults(&want_str(&reply, "f_recv").map_err(proto(s))?).map_err(proto(s))?,
-            );
-            let snapshot = want_str(&reply, "snapshot").map_err(proto(s))?;
-            ShardSnapshot::parse(&snapshot)
-                .map_err(|e| proto(s)(format!("stepped snapshot: {e}")))?;
-            let seat = &mut fleet.seats[s];
-            seat.last_snapshot = Some(snapshot);
-            seat.supersteps = want_num(&reply, "supersteps").map_err(proto(s))?;
-            seat.halo_messages = want_num(&reply, "halo_messages").map_err(proto(s))?;
-            seat.halo_bytes = want_num(&reply, "halo_bytes").map_err(proto(s))?;
-        }
-        for f in &mut recv_faults {
-            faults.append(f);
-        }
-        if let Some(log) = log {
-            log.record(Event::RoundEnd {
-                round: u64::from(rounds),
-                messages: round_messages,
-            });
-        }
-        rounds += 1;
-    }
-    // Residual: deaths observed after the last compute merge point.
-    for s in 0..m {
-        faults.append(&mut fleet.seats[s].pending_faults);
-    }
-
-    for s in 0..m {
-        let mut line = open_line("output");
-        push_num_field(&mut line, "rounds", u64::from(rounds));
-        line.push('}');
-        fleet.send(s, line);
-    }
-    let mut outputs: Vec<Vec<OutLabel>> = Vec::with_capacity(m);
-    let mut out_faults: Vec<(Vec<NodeFault>, Vec<NodeFault>)> = Vec::with_capacity(m);
-    let mut streams: Vec<Vec<Event>> = Vec::with_capacity(m);
-    for s in 0..m {
-        let reply = fleet.collect(s, rounds)?;
-        expect_op(&reply, "outputs", s)?;
-        let labels =
-            decode_labels(&want_str(&reply, "labels").map_err(proto(s))?).map_err(proto(s))?;
-        let owned: usize = map
-            .range(s)
-            .map(|i| usize::from(graph.degree(NodeId(i as u32))))
-            .sum();
-        if labels.len() != owned {
-            return Err(proto(s)(format!(
-                "worker labeled {} of {owned} owned half-edges",
-                labels.len()
-            )));
-        }
-        outputs.push(labels);
-        let f_out =
-            decode_faults(&want_str(&reply, "f_out").map_err(proto(s))?).map_err(proto(s))?;
-        let f_recv =
-            decode_faults(&want_str(&reply, "f_recv").map_err(proto(s))?).map_err(proto(s))?;
-        out_faults.push((f_out, f_recv));
-        streams
-            .push(decode_events(&want_str(&reply, "events").map_err(proto(s))?).map_err(proto(s))?);
-    }
-    for (f_out, _) in &mut out_faults {
-        faults.append(f_out);
-    }
-    for (_, f_recv) in &mut out_faults {
-        faults.append(f_recv);
-    }
-
-    // Shards own contiguous node ranges in index order and a node's
-    // half-edges are contiguous (CSR), so the shards' runs concatenate
-    // into the labeling in half-edge order.
-    let output: HalfEdgeLabeling<OutLabel> = outputs.into_iter().flatten().collect();
-
-    if let Some(log) = log {
-        for stream in &streams {
-            for event in stream {
-                log.record(event.clone());
-            }
-        }
-    }
-
-    span.set(Counter::Nodes, graph.node_count() as u64);
-    span.set(Counter::Edges, graph.edge_count() as u64);
-    span.set(Counter::Rounds, u64::from(rounds));
-    span.set(Counter::Messages, messages);
-    span.set(Counter::Faults, faults.len() as u64);
-    span.set(Counter::Shards, m as u64);
-    let seats = &fleet.seats;
-    span.set(
-        Counter::Supersteps,
-        seats.iter().map(|s| s.supersteps).sum(),
-    );
-    span.set(
-        Counter::HaloMessages,
-        seats.iter().map(|s| s.halo_messages).sum(),
-    );
-    span.set(Counter::HaloBytes, seats.iter().map(|s| s.halo_bytes).sum());
-    span.set(Counter::ShardCrashes, seats.iter().map(|s| s.crashes).sum());
-    span.set(
-        Counter::ShardRebuilds,
-        seats.iter().map(|s| s.rebuilds).sum(),
-    );
-    span.set(
-        Counter::Checkpoints,
-        seats.iter().map(|s| s.checkpoints).sum(),
-    );
-    span.set(
-        Counter::Retries,
-        seats
-            .iter()
-            .map(|s| s.rebuilds + u64::from(s.respawns))
-            .sum(),
-    );
-    let degraded = Degraded {
-        outcome: SyncRun { output, rounds },
-        faults,
-    };
-    Ok(RunReport::new(degraded, Trace::new(span.finish())))
-}
-
-/// Every shard's `init` command. The plan's id permutation is applied
-/// to the whole assignment, as the in-process executor applies it, and
-/// only then is each shard handed the ids of its owned range.
-fn init_commands(
-    job: &ProcJob,
-    plan: &FaultPlan,
-    map: &ShardMap,
-    proc: &ProcOptions,
-) -> Vec<InitCmd> {
-    let nodes = map.node_count();
-    let ids: Cow<'_, [u64]> = match plan.permutation(nodes) {
-        Some(perm) => IdAssignment::from_vec(job.ids.clone())
-            .permuted(&perm)
-            .iter()
-            .collect(),
-        None => Cow::Borrowed(&job.ids),
-    };
-    let plan_text = plan.to_text();
-    (0..map.num_shards())
-        .map(|s| InitCmd {
-            graph: job.graph.clone(),
-            alg: job.alg.clone(),
-            input: job.input.clone(),
-            ids: ids[map.range(s)].to_vec(),
-            n: job.n_announced.unwrap_or(nodes),
-            shards: map.num_shards(),
-            shard: s,
-            plan_text: plan_text.clone(),
-            hang_at: proc
-                .hang_at
-                .and_then(|(hung, at)| (hung == s).then_some(at)),
-        })
-        .collect()
-}
-
-/// Asserts a reply's `op`.
-fn expect_op(fields: &[(String, Scalar)], want: &str, shard: usize) -> Result<(), ProcError> {
-    let got = want_str(fields, "op").map_err(proto(shard))?;
-    if got != want {
-        return Err(ProcError::Protocol {
-            shard,
-            what: format!("expected a {want:?} reply, got {got:?}"),
-        });
-    }
-    Ok(())
+    coordinate(
+        &mut Fleet::new(job, &opts, proc)?,
+        &graph,
+        &job.ids,
+        job.n_announced,
+        job.max_rounds,
+        opts.shard_count().unwrap_or(1),
+        opts,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{AlgSpec, GraphSpec, InputSpec};
+    use lcl_faults::{Budget, FaultPlan};
+    use lcl_graph::ShardMap;
+    use lcl_local::{ids_under, IdAssignment};
+
+    /// Every shard's `init` command for `job` under `plan`, with the ids
+    /// permuted and sliced as the coordinator hands them to `init`.
+    fn init_commands(
+        job: &ProcJob,
+        plan: &FaultPlan,
+        map: &ShardMap,
+        proc: &ProcOptions,
+    ) -> Vec<InitCmd> {
+        let ids = ids_under(&job.ids, Some(plan));
+        let setup = Setup {
+            map,
+            plan,
+            budget: Budget::unlimited(),
+            n: job.n_announced.unwrap_or(map.node_count()),
+            ids: (0..map.num_shards()).map(|s| &ids[map.range(s)]).collect(),
+        };
+        (0..map.num_shards())
+            .map(|s| init_command(job, &setup, s, proc))
+            .collect()
+    }
 
     /// Each shard's `init` line carries exactly its owned range's ids,
     /// and the slices concatenate to the permuted assignment.

@@ -209,19 +209,30 @@ pub fn encode_batches<M: WireMsg>(batches: &[(usize, Vec<Option<M>>)]) -> String
     out
 }
 
+/// Splits encoded halo batches into `(peer, entries)` without decoding
+/// the entries: the framing of [`encode_batches`], which is all the
+/// supervisor needs to route them.
+pub fn split_batches(text: &str) -> Result<Vec<(usize, &str)>, String> {
+    if text.is_empty() {
+        return Ok(Vec::new());
+    }
+    text.split('|')
+        .map(|chunk| {
+            let (peer, payload) = chunk
+                .split_once('>')
+                .ok_or_else(|| format!("halo batch {chunk:?} lacks a peer prefix"))?;
+            let peer: usize = peer
+                .parse()
+                .map_err(|_| format!("halo peer {peer:?} is not a shard id"))?;
+            Ok((peer, payload))
+        })
+        .collect()
+}
+
 /// Decodes halo batches; the inverse of [`encode_batches`].
 pub fn decode_batches<M: WireMsg>(text: &str) -> Result<HaloBatches<M>, String> {
     let mut batches = Vec::new();
-    if text.is_empty() {
-        return Ok(batches);
-    }
-    for chunk in text.split('|') {
-        let (peer, payload) = chunk
-            .split_once('>')
-            .ok_or_else(|| format!("halo batch {chunk:?} lacks a peer prefix"))?;
-        let peer: usize = peer
-            .parse()
-            .map_err(|_| format!("halo peer {peer:?} is not a shard id"))?;
+    for (peer, payload) in split_batches(text)? {
         let entries = if payload.is_empty() {
             Vec::new()
         } else {

@@ -1,20 +1,18 @@
 //! The shard worker: one OS process owning one shard of a run.
 //!
 //! A worker is wire decode and encode around the same
-//! [`ShardStepper`] the in-process executor (`lcl_shard::run`) drives.
+//! [`ShardStepper`] the in-process transport (`lcl_shard::run`) steps.
 //! It reconstructs its shard of the computation from an [`InitCmd`] —
 //! graph, input, and fault plan are rebuilt locally from the
 //! deterministic spec, and only the owned nodes' ids are shipped — and
-//! then runs the stepper's phases (`begin`, `compute`, `deliver`,
-//! `finish`, `output`) as supervisor commands over a Unix socket
-//! arrive, where the in-process coordinator runs them at thread
-//! barriers. Halo batches leave in the `computed` reply and arrive in
-//! the `deliver` command, through the stepper's checked intake, so a
-//! malformed command is an `Err`, not a panic. Faults are buffered per
-//! phase and shipped in each reply exactly once, so the supervisor's
-//! shard-order merge reconstructs the same global fault order as the
-//! in-process executor — which is what makes a clean one-shard proc
-//! run bit-identical to `sharded(1)` and the unsharded executor.
+//! then runs one stepper phase (`begin`, `compute`, `deliver`,
+//! `finish`, `output`) per supervisor command. Halo batches leave in
+//! the `computed` reply and arrive in the `deliver` command, through
+//! the stepper's checked intake, so a malformed command is an `Err`,
+//! not a panic. Each reply ships the fault buffers its phase filled,
+//! exactly once, for the coordinator (`lcl_shard::coordinator`) to
+//! merge as it merges the in-process shards' — which is what makes a
+//! proc run equal to the in-process run.
 //!
 //! The worker has no deadline logic and no notion of its own death:
 //! its budget is unlimited, and `Fault::ShardKill` is filtered out of
@@ -176,7 +174,7 @@ where
                 let rounds = round_number(want_num(&fields, "rounds")?, "rounds")?;
                 r.output_nodes(alg, &graph, rounds);
                 let mut reply = open_line("outputs");
-                push_text_field(&mut reply, "labels", &encode_labels(&r.take_outputs()));
+                push_text_field(&mut reply, "labels", &encode_labels(&[r.take_outputs()]));
                 push_text_field(&mut reply, "f_out", &take_faults(&mut r.faults.out));
                 push_text_field(&mut reply, "f_recv", &take_faults(&mut r.faults.recv));
                 push_text_field(

@@ -6,10 +6,10 @@
 //! *where* a run executes, never *what* it computes.
 
 use lcl_core::{tree_speedup, SpeedupOptions};
-use lcl_faults::{FaultPlan, RunOptions};
+use lcl_faults::{Fault, FaultPlan, RunOptions};
 use lcl_graph::Graph;
 use lcl_local::{simulate_sync_with, SyncAlgorithm};
-use lcl_obs::Counter;
+use lcl_obs::{Counter, EventLog};
 use lcl_problems::anti_matching;
 use lcl_procshard::{
     run_proc_sharded, AlgSpec, GraphSpec, GuardedFlood, InputSpec, ProcJob, ProcOptions,
@@ -192,6 +192,79 @@ fn permuted_ids_match_the_local_executor_at_uneven_shards() {
         }
     }
     assert!(moved > 0, "the permutation changes some flood output");
+}
+
+/// Under a plan with a crash-stop, a node panic, a whole-shard crash and
+/// permuted ids, a proc run equals the in-process run in everything it
+/// reports: degraded outcome and fault list, every counter, trace
+/// fingerprint and event log. `k: 3` at 2 rounds is the no-halt leg.
+#[test]
+fn faulted_runs_match_the_in_process_executor() {
+    let proc = proc_options();
+    let plan = FaultPlan::new(7)
+        .with(Fault::Crash { node: 3, round: 1 })
+        .with(Fault::PanicNode { node: 11 })
+        .with(Fault::ShardCrash {
+            shard: 1,
+            superstep: 0,
+        })
+        .with_permuted_ids();
+    let specs = [
+        GraphSpec::Path { n: 33 },
+        GraphSpec::RandomTree {
+            n: 64,
+            max_degree: 3,
+            seed: 5,
+        },
+    ];
+    for spec in specs {
+        let g = spec.build();
+        let input = lcl::uniform_input(&g);
+        let ids = ids_for(&g, 3);
+        for shards in [3, 4] {
+            for (k, max_rounds) in [(2, 10), (3, 2)] {
+                let case = format!("{spec:?} shards={shards} k={k} max_rounds={max_rounds}");
+                let job = ProcJob {
+                    graph: spec.clone(),
+                    alg: AlgSpec::GuardedFlood { k },
+                    input: InputSpec::Uniform,
+                    ids: ids.clone(),
+                    n_announced: Some(100),
+                    max_rounds,
+                };
+                let proc_log = EventLog::new(4096);
+                let opts = RunOptions::new().faults(&plan).sharded(shards);
+                let run = run_proc_sharded(&job, opts.events(&proc_log), &proc)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                let inproc_log = EventLog::new(4096);
+                let inproc = simulate_sharded_with(
+                    &GuardedFlood { k },
+                    &g,
+                    &input,
+                    &ids,
+                    Some(100),
+                    max_rounds,
+                    2,
+                    opts.events(&inproc_log),
+                );
+                assert!(inproc.outcome.is_degraded(), "{case}: the plan bites");
+                assert_eq!(run.outcome, inproc.outcome, "{case}");
+                for &counter in Counter::ALL {
+                    assert_eq!(
+                        run.trace.total(counter),
+                        inproc.trace.total(counter),
+                        "{case}: {counter:?}"
+                    );
+                }
+                assert_eq!(
+                    run.trace.fingerprint(),
+                    inproc.trace.fingerprint(),
+                    "{case}"
+                );
+                assert_eq!(proc_log.events(), inproc_log.events(), "{case}");
+            }
+        }
+    }
 }
 
 /// A job whose id list does not cover its graph is a typed error, not

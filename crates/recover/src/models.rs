@@ -22,7 +22,7 @@ use lcl_faults::{isolate, Degraded, FaultPlan};
 use lcl_graph::Graph;
 use lcl_grid::{OrientedGrid, ProdIds};
 use lcl_local::sync::{run_sync, SyncAlgorithm, SyncRun};
-use lcl_local::{IdAssignment, LocalAlgorithm, LocalRun};
+use lcl_local::{ids_under, IdAssignment, LocalAlgorithm, LocalRun};
 use lcl_obs::{Counter, Span, Trace};
 use lcl_volume::{LcaAlgorithm, VolumeAlgorithm, VolumeRun};
 
@@ -74,18 +74,6 @@ fn certify_or_repair<P: Problem + ?Sized>(
     }
 }
 
-/// The identifier vector a faulted sync run actually used: the plan's
-/// permutation applied over the caller's ids.
-fn permuted_id_vec(ids: &[u64], plan: &FaultPlan, n: usize) -> Vec<u64> {
-    match plan.permutation(n) {
-        Some(perm) => IdAssignment::from_vec(ids.to_vec())
-            .permuted(&perm)
-            .iter()
-            .collect(),
-        None => ids.to_vec(),
-    }
-}
-
 /// Certifies (and repairs if needed) the degraded outcome of
 /// [`lcl_local::simulate_sync_with`] under a fault plan. The mending reference is a
 /// fault-free [`run_sync`] under the same ID permutation, panic-isolated
@@ -106,7 +94,7 @@ pub fn repair_sync_degraded<A: SyncAlgorithm, P: Problem + ?Sized>(
 ) -> ModelRepair {
     let mut span = Span::start(format!("recover/sync/{}", alg.name()));
     span.set(Counter::Faults, degraded.faults.len() as u64);
-    let ids = permuted_id_vec(ids, plan, graph.node_count());
+    let ids = ids_under(ids, Some(plan));
     let reference =
         isolate(|| run_sync(alg, graph, input, &ids, n_announced, max_rounds).output).ok();
     let result = certify_or_repair(

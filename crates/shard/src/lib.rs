@@ -6,10 +6,11 @@
 //! domain ([`ShardDomain`]: private fault plan, budget, cancel token,
 //! and event stream), and LOCAL rounds execute as boundary-exchange
 //! supersteps. Every phase of a superstep is defined once, in
-//! [`ShardStepper`]; the in-process executor ([`simulate_sharded_with`])
-//! and the process-per-shard worker (`lcl_procshard`) both drive it
-//! and differ only in how halo batches travel. The in-process executor
-//! is bit-identical to the single-image faulted executor for every
+//! [`ShardStepper`], and the round loop once, in [`coordinate`]; the
+//! in-process executor ([`simulate_sharded_with`]) and the
+//! process-per-shard supervisor (`lcl_procshard`) are two transports
+//! of that loop and differ only in how halo batches travel. A sharded
+//! run is bit-identical to the single-image faulted executor for every
 //! plan without whole-shard losses — outcome, fault list, and
 //! event-log cost model all agree across every shard count and runner
 //! thread count.
@@ -27,14 +28,16 @@
 //! never roll back), *repair* (cone-local mending), *degrade* (an
 //! unplanned shard loss condemns only that shard's nodes).
 
+pub mod coordinator;
 pub mod domain;
 pub mod recovery;
 pub mod run;
 pub mod snapshot;
 pub mod step;
 
+pub use coordinator::{coordinate, Setup, ShardReply, ShardTransport};
 pub use domain::{ShardDomain, SHARD_EVENT_CAPACITY};
 pub use recovery::repair_sharded;
 pub use run::simulate_sharded_with;
 pub use snapshot::{ShardSnapshot, ShardSnapshotError, SHARD_SNAPSHOT_VERSION};
-pub use step::{HaloBatches, ShardStepper};
+pub use step::{HaloBatches, PhaseFaults, ShardStepper, StepCounters};

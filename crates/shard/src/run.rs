@@ -1,61 +1,43 @@
 //! The in-process sharded synchronous executor.
 //!
-//! LOCAL rounds run as bulk-synchronous supersteps over a [`ShardMap`]
-//! partition. Every shard is a [`ShardStepper`]; the coordinator steps
-//! them on a small thread pool, one phase per barrier (a
-//! `std::thread::scope` join). Between the compute and deliver
-//! barriers it moves each shard's outgoing halo batches into the
-//! receivers' inboxes, so a superstep's halos are all in place before
-//! any shard starts delivering. The process-per-shard substrate
-//! (`lcl_procshard`) drives the same stepper and differs only in
-//! carrying those batches over sockets.
-//!
-//! # Bit-identity with the single-image executor
-//!
-//! The per-node semantics are an exact mirror of `lcl_local`'s
-//! degrading executor (see [`crate::step`]), and all per-shard fault
-//! records are buffered per phase and merged in shard order — which,
-//! because shards own contiguous ascending ranges, reconstructs exactly
-//! the global node order the unsharded executor would have produced. A
-//! sharded run of a plan without whole-shard losses is therefore
-//! *equal* — outcome, fault list, round/message counts, and event-log
-//! cost model — to the unsharded run, for every shard count and every
-//! runner thread count.
+//! This module is the in-process transport of the superstep loop in
+//! [`crate::coordinator`]: every shard is a [`ShardStepper`] in this
+//! address space, stepped on a small thread pool, one phase per barrier
+//! (a `std::thread::scope` join). Before the deliver barrier it moves
+//! each shard's outgoing halo batches into the receivers' inboxes as
+//! typed values, so a superstep's halos are all in place before any
+//! shard starts delivering. The process-per-shard transport
+//! (`lcl_procshard`) differs only in carrying those batches over
+//! sockets.
 //!
 //! # Whole-shard loss
 //!
-//! [`Fault::ShardCrash`] kills a shard at the start of a superstep: the
-//! work of that superstep is lost, including the halo batches it would
-//! have sent. Crash-planned shards checkpoint at the start of every
-//! superstep ([`ShardSnapshot`] round-trip plus an in-memory image), so
-//! the rebuild restores the superstep-start state, replays the lost
-//! compute, and re-exchanges halos with shards that crashed alongside
-//! it. Healthy shards never receive the dead shard's batch, so their
-//! frontier nodes record a `"halo-loss"` fault and skip the round,
-//! exactly like a node whose neighbor died mute. Everything else in a
-//! healthy shard, and everything in the rebuilt shard, proceeds
-//! bit-identically to a crash-free run; containment of the damage to
-//! healthy-shard frontiers is what `crate::recovery` exploits.
-//!
-//! Unplanned trouble has no snapshot to rebuild from: a budget breach
-//! at a superstep boundary, or a panic escaping the executor machinery
-//! itself, loses the shard for good ([`ShardStepper::lose`]). Its live
-//! nodes get one fault each, its halo batches for that superstep are
-//! dropped, and its neighbors see it as mute from then on.
+//! [`Fault::ShardCrash`] loses a shard at the start of a superstep; the
+//! shard rebuilds from its superstep-start checkpoint and replays the
+//! lost compute ([`ShardStepper::compute`]), while its healthy
+//! neighbors never receive its batch and record a `"halo-loss"` fault —
+//! damage confined to their frontier, which is what `crate::recovery`
+//! exploits. Unplanned trouble — a budget breach at a superstep
+//! boundary, or a panic escaping the executor machinery itself — has no
+//! snapshot to rebuild from and loses the shard for good
+//! ([`ShardStepper::lose`]); its neighbors see it as mute from then on.
 //!
 //! [`Fault::ShardCrash`]: lcl_faults::Fault::ShardCrash
-//! [`ShardSnapshot`]: crate::ShardSnapshot
 
-use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
-use lcl_faults::{isolate, Degraded, FaultPlan, NodeFault, RunOptions};
-use lcl_graph::{Graph, ShardMap};
-use lcl_local::{IdAssignment, SyncAlgorithm, SyncRun};
-use lcl_obs::{Counter, Event, RunReport, Span, Trace};
+use std::convert::Infallible;
 
-use crate::step::{HaloBatches, PhaseFaults, ShardStepper};
+use lcl::{HalfEdgeLabeling, InLabel};
+use lcl_faults::{isolate, Degraded, RunOptions};
+use lcl_graph::Graph;
+use lcl_local::{SyncAlgorithm, SyncRun};
+use lcl_obs::RunReport;
+
+use crate::coordinator::{coordinate, Setup, ShardReply, ShardTransport};
+use crate::step::{HaloBatches, ShardStepper};
 
 /// One in-process shard: its stepper plus the halo batches its last
-/// compute produced, which the coordinator moves to their receivers.
+/// compute produced, which [`Pool::exchange_halos`] moves to their
+/// receivers.
 struct Seat<A: SyncAlgorithm> {
     step: ShardStepper<A>,
     sent: HaloBatches<A::Msg>,
@@ -80,66 +62,147 @@ where
     }
 }
 
-/// Runs `f` over every shard on up to `threads` runner threads, with
-/// shards partitioned into contiguous blocks. The call is a barrier:
-/// every shard has finished the phase when it returns.
-fn for_each_shard<A, F>(seats: &mut [Seat<A>], threads: usize, round: u32, f: F)
+/// The seat pool: every shard's seat, stepped on up to `threads` runner
+/// threads.
+struct Pool<A: SyncAlgorithm> {
+    seats: Vec<Seat<A>>,
+    threads: usize,
+}
+
+impl<A> Pool<A>
 where
     A: SyncAlgorithm + Sync,
     A::State: Send,
     A::Msg: Send,
-    F: Fn(&mut Seat<A>) + Sync,
 {
-    let m = seats.len();
-    let t = threads.clamp(1, m.max(1));
-    if t <= 1 {
-        for seat in seats.iter_mut() {
-            step_one(seat, round, &f);
-        }
-        return;
-    }
-    let chunk = m.div_ceil(t);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for slice in seats.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for seat in slice {
-                    step_one(seat, round, f);
+    /// Runs `f` over every shard, with shards partitioned into
+    /// contiguous blocks across the runner threads. The call is a
+    /// barrier: every shard has finished the phase when it returns, and
+    /// it answers with each shard's drained fault buffers, counters,
+    /// flags and labels.
+    fn for_each_shard(&mut self, round: u32, f: impl Fn(&mut Seat<A>) + Sync) -> Vec<ShardReply> {
+        let m = self.seats.len();
+        let t = self.threads.clamp(1, m.max(1));
+        if t <= 1 {
+            for seat in self.seats.iter_mut() {
+                step_one(seat, round, &f);
+            }
+        } else {
+            let f = &f;
+            std::thread::scope(|scope| {
+                for slice in self.seats.chunks_mut(m.div_ceil(t)) {
+                    scope.spawn(move || {
+                        for seat in slice {
+                            step_one(seat, round, f);
+                        }
+                    });
                 }
             });
         }
-    });
-}
+        self.seats
+            .iter_mut()
+            .map(|seat| ShardReply {
+                faults: std::mem::take(&mut seat.step.faults),
+                counters: seat.step.counters,
+                all_done: seat.step.all_done(),
+                lost: seat.step.is_lost(),
+                labels: seat.step.take_outputs(),
+                ..ShardReply::default()
+            })
+            .collect()
+    }
 
-/// Moves every shard's outgoing batches into their receivers' inboxes.
-/// A lost receiver discards what was addressed to it; a batch the
-/// receiver's routes reject (an executor invariant broken) loses that
-/// receiver rather than the run.
-fn exchange_halos<A: SyncAlgorithm>(seats: &mut [Seat<A>], round: u32) {
-    let mut inboxes: Vec<HaloBatches<A::Msg>> = seats.iter().map(|_| Vec::new()).collect();
-    for (src, seat) in seats.iter_mut().enumerate() {
-        for (dst, payload) in seat.sent.drain(..) {
-            inboxes[dst].push((src, payload));
+    /// Moves every shard's outgoing batches into their receivers'
+    /// inboxes. A lost receiver discards what was addressed to it; a
+    /// batch the receiver's routes reject (an executor invariant broken)
+    /// loses that receiver rather than the run.
+    fn exchange_halos(&mut self, round: u32) {
+        let mut inboxes: Vec<HaloBatches<A::Msg>> = self.seats.iter().map(|_| Vec::new()).collect();
+        for (src, seat) in self.seats.iter_mut().enumerate() {
+            for (dst, payload) in seat.sent.drain(..) {
+                inboxes[dst].push((src, payload));
+            }
+        }
+        for (seat, batches) in self.seats.iter_mut().zip(inboxes) {
+            if seat.step.is_lost() {
+                continue;
+            }
+            if let Err(e) = seat.step.accept_halos(batches) {
+                seat.step.lose(round, "shard-loss", &e);
+            }
         }
     }
-    for (seat, batches) in seats.iter_mut().zip(inboxes) {
-        if seat.step.is_lost() {
-            continue;
-        }
-        if let Err(e) = seat.step.accept_halos(batches) {
-            seat.step.lose(round, "shard-loss", &e);
-        }
-    }
 }
 
-/// Appends one phase buffer of every shard to `faults`, in shard order.
-fn merge(
-    faults: &mut Vec<NodeFault>,
-    seats: &mut [Seat<impl SyncAlgorithm>],
-    buffer: fn(&mut PhaseFaults) -> &mut Vec<NodeFault>,
-) {
-    for seat in seats {
-        faults.append(buffer(&mut seat.step.faults));
+/// The in-process transport: every shard's stepper lives in this
+/// address space, in the seat pool.
+struct InProcess<'r, A: SyncAlgorithm> {
+    alg: &'r A,
+    graph: &'r Graph,
+    input: &'r HalfEdgeLabeling<InLabel>,
+    pool: Pool<A>,
+}
+
+impl<A> ShardTransport for InProcess<'_, A>
+where
+    A: SyncAlgorithm + Sync,
+    A::State: Send,
+    A::Msg: Send,
+{
+    type Error = Infallible;
+
+    fn init(&mut self, setup: &Setup<'_>) -> Result<(String, Vec<ShardReply>), Infallible> {
+        self.pool.seats = (0..setup.map.num_shards())
+            .map(|s| Seat {
+                step: ShardStepper::new(s, setup.map, self.graph, setup.plan, &setup.budget),
+                sent: Vec::new(),
+            })
+            .collect();
+        let replies = self.pool.for_each_shard(0, |seat| {
+            let ids = setup.ids[seat.step.id()];
+            seat.step
+                .init_nodes(self.alg, self.graph, self.input, ids, setup.n);
+        });
+        Ok((self.alg.name().to_string(), replies))
+    }
+
+    fn begin(&mut self, round: u32) -> Result<Vec<ShardReply>, Infallible> {
+        Ok(self
+            .pool
+            .for_each_shard(round, |seat| seat.step.begin_round(self.alg, round)))
+    }
+
+    fn finish(&mut self, round: u32, effective: u32) -> Result<Vec<ShardReply>, Infallible> {
+        Ok(self
+            .pool
+            .for_each_shard(round, |seat| seat.step.no_halt(self.alg, effective, round)))
+    }
+
+    fn compute(&mut self, round: u32, crashed: &[bool]) -> Result<Vec<ShardReply>, Infallible> {
+        Ok(self.pool.for_each_shard(round, |seat| {
+            seat.sent = seat.step.compute(self.alg, self.graph, round, crashed);
+        }))
+    }
+
+    fn deliver(&mut self, round: u32, crashed: &[bool]) -> Result<Vec<ShardReply>, Infallible> {
+        self.pool.exchange_halos(round);
+        Ok(self.pool.for_each_shard(round, |seat| {
+            seat.step.deliver(self.alg, self.graph, round, crashed);
+        }))
+    }
+
+    fn output(&mut self, rounds: u32) -> Result<Vec<ShardReply>, Infallible> {
+        let mut replies = self.pool.for_each_shard(rounds, |seat| {
+            seat.step.output_nodes(self.alg, self.graph, rounds);
+        });
+        for (reply, seat) in replies.iter_mut().zip(&self.pool.seats) {
+            reply.events = seat.step.domain().events().events();
+        }
+        Ok(replies)
+    }
+
+    fn bad_reply(&self, shard: usize, what: String) -> Infallible {
+        unreachable!("an in-process stepper labels every owned half-edge (shard {shard}: {what})")
     }
 }
 
@@ -148,14 +211,10 @@ fn merge(
 ///
 /// When `opts` requests no sharding ([`RunOptions::shard_count`] is
 /// `None`) the call delegates to `lcl_local::simulate_sync_with`
-/// unchanged. Otherwise the graph is partitioned by a [`ShardMap`]
-/// into the requested number of shards (clamped to the node count) and
-/// executed as boundary-exchange supersteps; see the module docs for
-/// the fault model. The outcome for plans without whole-shard losses
-/// is equal to the unsharded executor's for every shard and thread
-/// count; the trace additionally carries the shard counters
-/// (`shards`, `supersteps`, `halo-messages`, `halo-bytes`,
-/// `shard-crashes`, `shard-rebuilds`, `checkpoints`, `retries`).
+/// unchanged. Otherwise the graph is partitioned into the requested
+/// number of shards and run by [`coordinate`] over this module's
+/// in-process transport; see the module docs for the fault model and
+/// [`coordinate`] for the shard counters the trace carries.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_sharded_with<A>(
     alg: &A,
@@ -172,7 +231,7 @@ where
     A::State: Send,
     A::Msg: Send,
 {
-    let Some(requested_shards) = opts.shard_count() else {
+    let Some(shards) = opts.shard_count() else {
         return lcl_local::simulate_sync_with(
             alg,
             graph,
@@ -183,170 +242,27 @@ where
             opts,
         );
     };
-    assert_eq!(ids.len(), graph.node_count(), "ids cover the graph");
-    let empty_plan;
-    let plan: &FaultPlan = match opts.fault_plan() {
-        Some(plan) => plan,
-        None => {
-            empty_plan = FaultPlan::new(0);
-            &empty_plan
-        }
+    let transport = &mut InProcess {
+        alg,
+        graph,
+        input,
+        pool: Pool {
+            seats: Vec::new(),
+            threads,
+        },
     };
-    let log = opts.event_log();
-    let budget = opts.run_budget();
-    let effective = budget.max_rounds.map_or(max_rounds, |cap| {
-        max_rounds.min(u32::try_from(cap).unwrap_or(u32::MAX))
-    });
-    let owned;
-    let ids: &[u64] = match plan.permutation(graph.node_count()) {
-        Some(perm) => {
-            owned = IdAssignment::from_vec(ids.to_vec())
-                .permuted(&perm)
-                .iter()
-                .collect::<Vec<u64>>();
-            &owned
-        }
-        None => ids,
-    };
-    let n = n_announced.unwrap_or_else(|| graph.node_count());
-    let map = ShardMap::new(graph.node_count(), requested_shards);
-    let m = map.num_shards();
-    let mut span = Span::start(format!("shard/sync/{}", alg.name()));
-
-    let mut seats: Vec<Seat<A>> = (0..m)
-        .map(|s| Seat {
-            step: ShardStepper::new(s, &map, graph, plan, &budget),
-            sent: Vec::new(),
-        })
-        .collect();
-
-    let mut faults: Vec<NodeFault> = Vec::new();
-    let mut messages = 0u64;
-    let mut rounds = 0u32;
-
-    for_each_shard(&mut seats, threads, 0, |seat| {
-        let range = map.range(seat.step.id());
-        seat.step.init_nodes(alg, graph, input, &ids[range], n);
-    });
-    merge(&mut faults, &mut seats, |f| &mut f.init);
-    merge(&mut faults, &mut seats, |f| &mut f.recv);
-
-    loop {
-        for_each_shard(&mut seats, threads, rounds, |seat| {
-            seat.step.begin_round(alg, rounds);
-        });
-        if seats.iter().all(|seat| seat.step.all_done()) {
-            break;
-        }
-        if rounds >= effective {
-            for_each_shard(&mut seats, threads, rounds, |seat| {
-                seat.step.no_halt(alg, effective, rounds);
-            });
-            break;
-        }
-        if let Some(log) = log {
-            log.record(Event::RoundStart {
-                round: u64::from(rounds),
-            });
-        }
-        let crashed: Vec<bool> = seats
-            .iter()
-            .map(|seat| !seat.step.is_lost() && seat.step.domain().crashes_at(rounds))
-            .collect();
-        let crashed = crashed.as_slice();
-        for_each_shard(&mut seats, threads, rounds, |seat| {
-            seat.sent = seat.step.compute(alg, graph, rounds, crashed);
-        });
-        let round_messages: u64 = seats
-            .iter()
-            .filter(|seat| !seat.step.is_lost())
-            .map(|seat| seat.step.counters.round_messages)
-            .sum();
-        messages += round_messages;
-        merge(&mut faults, &mut seats, |f| &mut f.crash);
-        merge(&mut faults, &mut seats, |f| &mut f.send);
-        exchange_halos(&mut seats, rounds);
-        for_each_shard(&mut seats, threads, rounds, |seat| {
-            seat.step.deliver(alg, graph, rounds, crashed);
-        });
-        merge(&mut faults, &mut seats, |f| &mut f.recv);
-        if let Some(log) = log {
-            log.record(Event::RoundEnd {
-                round: u64::from(rounds),
-                messages: round_messages,
-            });
-        }
-        rounds += 1;
-    }
-    // Residual buffers: no-halt faults, and losses recorded by a phase
-    // that broke out of the loop.
-    merge(&mut faults, &mut seats, |f| &mut f.crash);
-    merge(&mut faults, &mut seats, |f| &mut f.send);
-    merge(&mut faults, &mut seats, |f| &mut f.recv);
-
-    for_each_shard(&mut seats, threads, rounds, |seat| {
-        seat.step.output_nodes(alg, graph, rounds);
-    });
-    merge(&mut faults, &mut seats, |f| &mut f.out);
-    merge(&mut faults, &mut seats, |f| &mut f.recv);
-
-    let mut outputs: Vec<Vec<Vec<OutLabel>>> = seats
-        .iter_mut()
-        .map(|seat| seat.step.take_outputs())
-        .collect();
-    let output = HalfEdgeLabeling::from_node_fn(graph, |v| {
-        let s = map.shard_of(v);
-        let local = v.index() - map.range(s).start;
-        let degree = graph.degree(v) as usize;
-        match outputs[s].get_mut(local).map(std::mem::take) {
-            Some(labels) if labels.len() == degree => labels,
-            // A shard lost before or during the output phase never
-            // filled its labels; placeholder like any other dead node.
-            _ => vec![OutLabel(0); degree],
-        }
-    });
-
-    if let Some(log) = log {
-        for seat in &seats {
-            for event in seat.step.domain().events().events() {
-                log.record(event);
-            }
-        }
-    }
-
-    let total = |f: fn(&ShardStepper<A>) -> u64| seats.iter().map(|seat| f(&seat.step)).sum();
-    let lost_shards: u64 = total(|s| u64::from(s.is_lost()));
-    let rebuilds: u64 = total(|s| s.counters.rebuilds);
-    span.set(Counter::Nodes, graph.node_count() as u64);
-    span.set(Counter::Edges, graph.edge_count() as u64);
-    span.set(Counter::Rounds, u64::from(rounds));
-    span.set(Counter::Messages, messages);
-    span.set(Counter::Faults, faults.len() as u64);
-    span.set(Counter::Shards, m as u64);
-    span.set(Counter::Supersteps, total(|s| s.counters.supersteps));
-    span.set(Counter::HaloMessages, total(|s| s.counters.halo_messages));
-    span.set(Counter::HaloBytes, total(|s| s.counters.halo_bytes));
-    span.set(
-        Counter::ShardCrashes,
-        total(|s| s.counters.crashes) + lost_shards,
-    );
-    span.set(Counter::ShardRebuilds, rebuilds);
-    span.set(Counter::Checkpoints, total(|s| s.counters.checkpoints));
-    span.set(Counter::Retries, rebuilds);
-    let degraded = Degraded {
-        outcome: SyncRun { output, rounds },
-        faults,
-    };
-    RunReport::new(degraded, Trace::new(span.finish()))
+    let Ok(report) = coordinate(transport, graph, ids, n_announced, max_rounds, shards, opts);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_faults::{Budget, Fault};
+    use lcl::OutLabel;
+    use lcl_faults::{Budget, Fault, FaultPlan};
     use lcl_graph::{gen, NodeId};
     use lcl_local::NodeInit;
-    use lcl_obs::EventLog;
+    use lcl_obs::{Counter, Event, EventLog};
     use std::time::Duration;
 
     /// Flood-max with a halt guard: a node floods the maximum id it has

@@ -4,15 +4,12 @@
 //! holds between barriers: node states, death rounds, outboxes, the
 //! superstep-start snapshot, per-phase fault buffers, counters, and the
 //! shard's halo routes. It defines each superstep phase exactly once —
-//! init, begin, compute, deliver, no-halt, output — and leaves only the
-//! transport of halo batches to the executor that drives it:
-//!
-//! - the in-process coordinator ([`crate::run`]) steps its shards on a
-//!   thread pool and moves each [`compute`](ShardStepper::compute)
-//!   result into the receivers' inboxes between the compute and deliver
-//!   barriers;
-//! - a `shard-worker` process wraps one stepper in a line-protocol
-//!   serve loop and ships the same batches through its supervisor.
+//! init, begin, compute, deliver, no-halt, output — for the round loop
+//! of [`crate::coordinator`] to drive, and leaves only the transport of
+//! halo batches to the executor that holds it: the in-process
+//! transport ([`crate::run`]) moves each [`compute`](ShardStepper::compute)
+//! result between seats, and a `shard-worker` process ships the same
+//! batches through its supervisor.
 //!
 //! Everything that arrives from outside a caller's own address space —
 //! superstep numbers, crashed-shard flags, peers' halo batches — enters
@@ -175,7 +172,7 @@ pub struct ShardStepper<A: SyncAlgorithm> {
     died: Vec<Option<u32>>,
     last_outbox: Vec<Option<Vec<A::Msg>>>,
     outboxes: Vec<Option<Vec<A::Msg>>>,
-    outputs: Vec<Vec<OutLabel>>,
+    outputs: Vec<OutLabel>,
     snapshot: Option<SnapshotImage<A>>,
     out_routes: OutRoutes,
     halo_pos: HaloPos,
@@ -251,9 +248,9 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
         self.lost
     }
 
-    /// Takes the owned nodes' output labels, in node order, as of the
-    /// last [`output_nodes`](Self::output_nodes).
-    pub fn take_outputs(&mut self) -> Vec<Vec<OutLabel>> {
+    /// Takes the owned half-edges' output labels, in half-edge order, as
+    /// of the last [`output_nodes`](Self::output_nodes).
+    pub fn take_outputs(&mut self) -> Vec<OutLabel> {
         std::mem::take(&mut self.outputs)
     }
 
@@ -707,13 +704,14 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
     /// phase's fault treatment (late injected panics, wrong arity,
     /// placeholder labels for stateless nodes).
     pub fn output_nodes(&mut self, alg: &A, graph: &Graph, rounds: u32) {
-        self.outputs = Vec::with_capacity(self.len);
+        self.outputs = Vec::new();
         for local in 0..self.len {
             let i = self.start + local;
             let v = NodeId(i as u32);
             let degree = graph.degree(v) as usize;
             let Some(state) = self.states[local].as_ref() else {
-                self.outputs.push(vec![OutLabel(0); degree]);
+                self.outputs
+                    .resize(self.outputs.len() + degree, OutLabel(0));
                 continue;
             };
             let live = self.died[local].is_none();
@@ -724,7 +722,7 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
             };
             let fault = match labels {
                 Ok(out) if out.len() == degree => {
-                    self.outputs.push(out);
+                    self.outputs.extend(out);
                     continue;
                 }
                 Ok(out) => Some((
@@ -743,7 +741,8 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
                     payload,
                 );
             }
-            self.outputs.push(vec![OutLabel(0); degree]);
+            self.outputs
+                .resize(self.outputs.len() + degree, OutLabel(0));
         }
     }
 }

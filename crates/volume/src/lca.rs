@@ -10,7 +10,7 @@
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
 use lcl_faults::{Degraded, RunOptions};
-use lcl_graph::Graph;
+use lcl_graph::{Graph, NodeId};
 use lcl_obs::{Counter, RunReport, Trace};
 
 use lcl_local::IdAssignment;
@@ -24,7 +24,8 @@ pub struct LcaSession<'a, 'b> {
     inner: &'b mut ProbeSession<'a>,
     graph: &'a Graph,
     input: &'a HalfEdgeLabeling<InLabel>,
-    ids: &'a IdAssignment,
+    /// The node holding each identifier, at slot `id - 1`.
+    by_id: &'a [NodeId],
     /// Far probes performed (counted separately, per Theorem 2.12's
     /// distinction).
     far_probes: usize,
@@ -35,13 +36,13 @@ impl<'a, 'b> LcaSession<'a, 'b> {
         inner: &'b mut ProbeSession<'a>,
         graph: &'a Graph,
         input: &'a HalfEdgeLabeling<InLabel>,
-        ids: &'a IdAssignment,
+        by_id: &'a [NodeId],
     ) -> Self {
         Self {
             inner,
             graph,
             input,
-            ids,
+            by_id,
             far_probes: 0,
         }
     }
@@ -61,7 +62,8 @@ impl<'a, 'b> LcaSession<'a, 'b> {
     /// that identifier.
     pub fn far_probe(&mut self, id: u64) -> Option<NodeInfo> {
         self.far_probes += 1;
-        let v = self.graph.nodes().find(|&v| self.ids.id(v) == id)?;
+        let slot = usize::try_from(id.checked_sub(1)?).ok()?;
+        let v = *self.by_id.get(slot)?;
         Some(NodeInfo {
             id,
             degree: self.graph.degree(v),
@@ -119,13 +121,21 @@ pub fn simulate_lca_with(
     opts: RunOptions<'_>,
 ) -> Result<RunReport<Degraded<VolumeRun>>, ProbeError> {
     let n = graph.node_count();
-    let mut sorted: Vec<u64> = ids.iter().collect();
-    sorted.sort_unstable();
-    assert!(
-        sorted == (1..=n as u64).collect::<Vec<_>>(),
-        "LCA identifiers must be exactly 1..=n"
-    );
     let ids = ids.under(opts.fault_plan());
+    // The far-probe index: the node holding each identifier, at slot
+    // `id - 1`.
+    let mut by_id: Vec<Option<NodeId>> = vec![None; n];
+    let exact = ids.len() == n
+        && graph.nodes().all(|v| {
+            let slot = ids
+                .id(v)
+                .checked_sub(1)
+                .and_then(|s| usize::try_from(s).ok());
+            let cell = slot.and_then(|s| by_id.get_mut(s));
+            cell.is_some_and(|cell| cell.replace(v).is_none())
+        });
+    assert!(exact, "LCA identifiers must be exactly 1..=n");
+    let by_id: Vec<NodeId> = by_id.into_iter().flatten().collect();
     let (run, mut span, far_probes) = answer_queries(
         "lca",
         alg.name(),
@@ -136,7 +146,7 @@ pub fn simulate_lca_with(
         n,
         opts,
         |session| {
-            let mut lca = LcaSession::new(session, graph, input, &ids);
+            let mut lca = LcaSession::new(session, graph, input, &by_id);
             let answer = alg.answer(&mut lca);
             (answer, lca.far_probes_used())
         },
@@ -192,6 +202,10 @@ mod tests {
     use crate::algorithm::FnVolumeAlgorithm;
     use lcl_graph::gen;
 
+    /// A plan seed whose permutation deals id 1 to an inner node of a
+    /// 5-node path.
+    const PERMUTE_SEED: u64 = 2;
+
     fn lca_ids(n: usize) -> IdAssignment {
         IdAssignment::from_vec((1..=n as u64).collect())
     }
@@ -207,6 +221,9 @@ mod tests {
                 0
             }
             fn answer(&self, s: &mut LcaSession<'_, '_>) -> Result<Vec<OutLabel>, ProbeError> {
+                // Ids 0 and n + 1 are held by no node.
+                assert!(s.far_probe(0).is_none());
+                assert!(s.far_probe(6).is_none());
                 // Look up node with id 1 and output its degree.
                 let info = s.far_probe(1).expect("id 1 exists");
                 let d = s.near().queried().degree as usize;
@@ -216,7 +233,24 @@ mod tests {
         let run = run_lca(&FarDegree, &g, &input, &ids).expect("far probes only");
         // Node with id 1 is node 0, an endpoint of degree 1.
         assert!(run.output.as_slice().iter().all(|&l| l == OutLabel(1)));
-        assert_eq!(run.max_probes, 1); // the far probe is counted
+        assert_eq!(run.max_probes, 3); // every far probe is counted
+
+        // Under a permuting plan, id 1 moves to an inner node of degree 2.
+        let plan = lcl_faults::FaultPlan::new(PERMUTE_SEED).with_permuted_ids();
+        let moved = ids.under(Some(&plan));
+        let holder = g.nodes().find(|&v| moved.id(v) == 1).expect("id 1 exists");
+        assert_eq!(g.degree(holder), 2);
+        let report = simulate_lca_with(
+            &FarDegree,
+            &g,
+            &input,
+            &ids,
+            RunOptions::new().faults(&plan),
+        )
+        .expect("far probes only");
+        let run = &report.outcome.outcome;
+        assert!(run.output.as_slice().iter().all(|&l| l == OutLabel(2)));
+        assert_eq!(report.trace.total(Counter::FarProbes), 15);
     }
 
     #[test]
