@@ -279,6 +279,16 @@ mod tests {
             ),
             (
                 COMPUTE,
+                "{\"op\":\"deliver\",\"round\":0,\"crashed\":\"00\",\"halos\":\"1>11\"}",
+                "halo batch from shard 1, which routes nothing to shard 1",
+            ),
+            (
+                COMPUTE,
+                "{\"op\":\"deliver\",\"round\":0,\"crashed\":\"00\",\"halos\":\"18446744073709551615>11\"}",
+                "halo batch from shard 18446744073709551615, which routes nothing to shard 1",
+            ),
+            (
+                COMPUTE,
                 "{\"op\":\"deliver\",\"round\":0,\"crashed\":\"00\",\"halos\":\"0>\"}",
                 "halo batch from shard 0 has 0 entries, 1 routed",
             ),

@@ -17,6 +17,18 @@
 //! [`ShardStepper::accept_halos`]), so a malformed command is a typed
 //! error rather than an out-of-bounds panic.
 //!
+//! # Halo routes
+//!
+//! A halo batch from one shard to another lists the crossing messages
+//! in the receiver's scan order, so the receiver knows each entry's
+//! place without a key on the wire. Both sides are computed once, at
+//! construction, from the shard's owned half-edges: per destination the
+//! `(node, port)` sources to copy out of the outboxes, and per owned
+//! half-edge one dense slot holding its message's batch position (or a
+//! sentinel when the twin is owned too). Delivery reads the slot by
+//! half-edge index and moves the entry out of its batch, so each routed
+//! message is cloned once, at the sender, and looked up by no hash.
+//!
 //! # Semantics
 //!
 //! The per-node rules mirror `lcl_local`'s degrading executor:
@@ -26,7 +38,7 @@
 //! [`PhaseFaults`]) so the caller can merge them in shard order, which
 //! reconstructs the unsharded executor's global node order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
 use lcl_faults::{inject_panic, isolate, record_fault, Budget, FaultPlan, NodeFault};
@@ -48,12 +60,20 @@ pub type HaloBatches<M> = Vec<(usize, Vec<Option<M>>)>;
 /// halo entry, in the receiver's scan order.
 type OutRoutes = BTreeMap<usize, Vec<(u32, u8)>>;
 
-/// `(source node, source port)` → (source shard, batch position) of
-/// each inbound halo entry.
-type HaloPos = HashMap<(u32, u8), (usize, u32)>;
+/// The inbound slot of an owned half-edge whose twin is owned as well:
+/// its message comes from the shard's own outboxes, not a halo batch.
+const OWNED_TWIN: u32 = u32::MAX;
 
-/// Source shard → entries it routes here per superstep.
-type InCounts = BTreeMap<usize, usize>;
+/// Where each owned half-edge's incoming message sits.
+struct InRoutes {
+    /// Index of the shard's first half-edge.
+    first: usize,
+    /// Per owned half-edge, at `h.index() - first`: the message's
+    /// position in the batch of the twin's shard, or [`OWNED_TWIN`].
+    slots: Vec<u32>,
+    /// Entries each source shard routes here per superstep, by shard.
+    counts: Vec<usize>,
+}
 
 /// Computes shard `me`'s halo routes from its owned half-edges alone.
 ///
@@ -62,28 +82,32 @@ type InCounts = BTreeMap<usize, usize>;
 /// receiving port. The inbound side is this shard's own scan order, so
 /// batch positions count up as the owned half-edges are walked; the
 /// outbound side is the same walk sorted by (neighbor, twin port).
-/// Also returns how many entries each source shard routes here.
-fn routes(graph: &Graph, map: &ShardMap, me: usize) -> (OutRoutes, HaloPos, InCounts) {
+fn routes(graph: &Graph, map: &ShardMap, me: usize) -> (OutRoutes, InRoutes) {
     let range = map.range(me);
+    let mut inbound = InRoutes {
+        first: 0,
+        slots: Vec::new(),
+        counts: vec![0; map.num_shards()],
+    };
     // (owned node, port, neighbor, twin port) of every cut half-edge.
     let mut cut: Vec<(u32, u8, u32, u8)> = Vec::new();
     for i in range.clone() {
         let v = NodeId(i as u32);
         for (p, h) in graph.half_edges_of(v).enumerate() {
+            if inbound.slots.is_empty() {
+                inbound.first = h.index();
+            }
             let twin = graph.twin(h);
             let u = graph.node_of(twin);
-            if !range.contains(&u.index()) {
-                cut.push((v.0, p as u8, u.0, graph.port_of(twin)));
+            if range.contains(&u.index()) {
+                inbound.slots.push(OWNED_TWIN);
+                continue;
             }
+            let count = &mut inbound.counts[map.shard_of(u)];
+            inbound.slots.push(*count as u32);
+            *count += 1;
+            cut.push((v.0, p as u8, u.0, graph.port_of(twin)));
         }
-    }
-    let mut halo_pos = HaloPos::with_capacity(cut.len());
-    let mut in_counts = InCounts::new();
-    for &(_, _, u, q) in &cut {
-        let d = map.shard_of(NodeId(u));
-        let idx = in_counts.entry(d).or_insert(0);
-        halo_pos.insert((u, q), (d, *idx as u32));
-        *idx += 1;
     }
     cut.sort_unstable_by_key(|&(_, _, u, q)| (u, q));
     let mut out_routes = OutRoutes::new();
@@ -93,7 +117,7 @@ fn routes(graph: &Graph, map: &ShardMap, me: usize) -> (OutRoutes, HaloPos, InCo
             .or_default()
             .push((v, p));
     }
-    (out_routes, halo_pos, in_counts)
+    (out_routes, inbound)
 }
 
 /// A superstep number from outside the caller's address space, which
@@ -165,7 +189,7 @@ fn buffer_fault(
 pub struct ShardStepper<A: SyncAlgorithm> {
     domain: ShardDomain,
     stage: String,
-    shards: usize,
+    map: ShardMap,
     start: usize,
     len: usize,
     states: Vec<Option<A::State>>,
@@ -175,10 +199,10 @@ pub struct ShardStepper<A: SyncAlgorithm> {
     outputs: Vec<OutLabel>,
     snapshot: Option<SnapshotImage<A>>,
     out_routes: OutRoutes,
-    halo_pos: HaloPos,
-    in_counts: InCounts,
-    /// Batches accepted for the coming delivery, keyed by sender.
-    inbox: BTreeMap<usize, Vec<Option<A::Msg>>>,
+    in_routes: InRoutes,
+    /// Batches accepted for the coming delivery, indexed by sender;
+    /// empty when none are accepted.
+    inbox: Vec<Option<Vec<Option<A::Msg>>>>,
     round_halo_messages: u64,
     round_halo_bytes: u64,
     all_done: bool,
@@ -200,12 +224,12 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
         plan: &FaultPlan,
         budget: &Budget,
     ) -> Self {
-        let (out_routes, halo_pos, in_counts) = routes(graph, map, me);
+        let (out_routes, in_routes) = routes(graph, map, me);
         let range = map.range(me);
         Self {
             domain: ShardDomain::carve(me, map, plan, budget),
             stage: format!("shard/{me}"),
-            shards: map.num_shards(),
+            map: map.clone(),
             start: range.start,
             len: range.len(),
             states: Vec::new(),
@@ -215,9 +239,8 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
             outputs: Vec::new(),
             snapshot: None,
             out_routes,
-            halo_pos,
-            in_counts,
-            inbox: BTreeMap::new(),
+            in_routes,
+            inbox: Vec::new(),
             round_halo_messages: 0,
             round_halo_bytes: 0,
             all_done: false,
@@ -560,11 +583,11 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
     /// takes). Returns the round.
     pub fn check_superstep(&self, round: u64, crashed: &[bool]) -> Result<u32, String> {
         let round = round_number(round, "round")?;
-        if crashed.len() != self.shards {
+        if crashed.len() != self.map.num_shards() {
             return Err(format!(
                 "{} crashed flags for a {}-shard partition",
                 crashed.len(),
-                self.shards
+                self.map.num_shards()
             ));
         }
         if crashed[self.id()] != self.domain.crashes_at(round) {
@@ -590,9 +613,11 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
                 self.id()
             ));
         }
-        let mut inbox = BTreeMap::new();
+        let mut inbox: Vec<Option<Vec<Option<A::Msg>>>> = std::iter::repeat_with(|| None)
+            .take(self.map.num_shards())
+            .collect();
         for (from, payload) in batches {
-            let Some(&routed) = self.in_counts.get(&from) else {
+            let Some(&routed) = self.in_routes.counts.get(from).filter(|&&c| c > 0) else {
                 return Err(format!(
                     "halo batch from shard {from}, which routes nothing to shard {}",
                     self.id()
@@ -604,7 +629,7 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
                     payload.len()
                 ));
             }
-            if inbox.insert(from, payload).is_some() {
+            if inbox[from].replace(payload).is_some() {
                 return Err(format!("two halo batches from shard {from}"));
             }
         }
@@ -613,15 +638,15 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
     }
 
     /// Delivery: assemble each live node's inbox (local ports from the
-    /// shard's own outboxes, boundary ports from the accepted batches)
-    /// and receive. A port whose source shard crashed this superstep
-    /// records a `"halo-loss"` fault and skips the round; a `None` entry
-    /// (mute dead source) or a batch missing from a permanently lost
-    /// shard skips silently, exactly like the unsharded missing-message
-    /// rule. The round's outboxes then move into the beacon slots.
+    /// shard's own outboxes, boundary ports moved out of the accepted
+    /// batches at the positions routed at setup) and receive. A port
+    /// whose source shard crashed this superstep records a
+    /// `"halo-loss"` fault and skips the round; a `None` entry (mute
+    /// dead source) or a batch missing from a permanently lost shard
+    /// skips silently, exactly like the unsharded missing-message rule.
+    /// The round's outboxes then move into the beacon slots.
     pub fn deliver(&mut self, alg: &A, graph: &Graph, round: u32, crashed: &[bool]) {
-        let inbox = std::mem::take(&mut self.inbox);
-        let owned = self.start..self.start + self.len;
+        let mut inbox = std::mem::take(&mut self.inbox);
         for local in 0..self.len {
             if self.died[local].is_some() {
                 continue;
@@ -632,20 +657,16 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
             let received: Option<Vec<A::Msg>> = graph
                 .half_edges_of(v)
                 .map(|h| {
-                    let twin = graph.twin(h);
-                    let u = graph.node_of(twin);
-                    let q = graph.port_of(twin);
-                    if owned.contains(&u.index()) {
-                        self.outboxes[u.index() - self.start]
+                    let pos = self.in_routes.slots[h.index() - self.in_routes.first];
+                    if pos == OWNED_TWIN {
+                        let twin = graph.twin(h);
+                        self.outboxes[graph.node_of(twin).index() - self.start]
                             .as_ref()
-                            .map(|o| o[q as usize].clone())
+                            .map(|o| o[graph.port_of(twin) as usize].clone())
                     } else {
-                        let &(d, idx) = self
-                            .halo_pos
-                            .get(&(u.0, q))
-                            .expect("why: every cross half-edge was routed at setup");
-                        match inbox.get(&d) {
-                            Some(batch) => batch[idx as usize].clone(),
+                        let d = self.map.shard_of(graph.neighbor(h));
+                        match inbox.get_mut(d).and_then(Option::as_mut) {
+                            Some(batch) => batch[pos as usize].take(),
                             None => {
                                 if crashed[d] {
                                     halo_lost.get_or_insert(d);
@@ -751,6 +772,11 @@ impl<A: SyncAlgorithm> ShardStepper<A> {
 mod tests {
     use super::*;
     use lcl_graph::gen;
+    use std::collections::HashMap;
+
+    /// The oracle's inbound routes: `(source node, source port)` →
+    /// (source shard, batch position) of each inbound halo entry.
+    type HaloPos = HashMap<(u32, u8), (usize, u32)>;
 
     /// The route build before it kept to the owned half-edges: a scan
     /// over every shard's nodes, in shard order.
@@ -790,22 +816,38 @@ mod tests {
             ("random tree 64", gen::random_tree(64, 3, 5)),
             ("caterpillar 6x1", gen::caterpillar(6, 1)),
             ("star 3", gen::star(3)),
+            ("complete tree 2^6", gen::complete_tree(2, 6)),
         ];
         for (name, g) in graphs {
             for shards in [1, 4, 16] {
                 let map = ShardMap::new(g.node_count(), shards);
                 for me in 0..map.num_shards() {
-                    let (out_routes, halo_pos, in_counts) = routes(&g, &map, me);
-                    let mut counted = InCounts::new();
-                    for &(d, _) in halo_pos.values() {
-                        *counted.entry(d).or_insert(0) += 1;
+                    let at = format!("{name}: shards={shards}, shard {me}");
+                    let (out_routes, inbound) = routes(&g, &map, me);
+                    let (oracle_out, oracle_pos) = all_shards_routes(&g, &map, me);
+                    assert_eq!(out_routes, oracle_out, "{at}");
+                    let range = map.range(me);
+                    let mut counted = vec![0; map.num_shards()];
+                    let mut slots = 0;
+                    for i in range.clone() {
+                        for h in g.half_edges_of(NodeId(i as u32)) {
+                            let slot = inbound.slots[h.index() - inbound.first];
+                            slots += 1;
+                            let twin = g.twin(h);
+                            let u = g.node_of(twin);
+                            if range.contains(&u.index()) {
+                                assert_eq!(slot, OWNED_TWIN, "{at}: owned twin of {h:?}");
+                                continue;
+                            }
+                            let d = map.shard_of(u);
+                            let want = oracle_pos[&(u.0, g.port_of(twin))];
+                            assert_eq!((d, slot), want, "{at}: cut half-edge {h:?}");
+                            counted[d] += 1;
+                        }
                     }
-                    assert_eq!(in_counts, counted, "{name}: shards={shards}, shard {me}");
-                    assert_eq!(
-                        (out_routes, halo_pos),
-                        all_shards_routes(&g, &map, me),
-                        "{name}: shards={shards}, shard {me}"
-                    );
+                    assert_eq!(inbound.slots.len(), slots, "{at}: one slot per half-edge");
+                    assert_eq!(counted.iter().sum::<usize>(), oracle_pos.len(), "{at}");
+                    assert_eq!(inbound.counts, counted, "{at}");
                 }
             }
         }

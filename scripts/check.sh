@@ -55,6 +55,11 @@ echo "== perfbench self-test (the benchmark builds and replays against this API)
 # inputs, and checks the replayed per-layer calls; any problem fails.
 python3 perfbench/run.py --self-test
 
+echo "== perfbench unit tests (metric and span code) =="
+# The self-test above runs the workloads; these are perfbench's own
+# unit tests of its metric and span code, which nothing else runs.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== unwrap() gate (library code must use typed errors or expect) =="
 # Count `.unwrap()` in crate library sources outside `#[cfg(test)]`
 # modules. The baseline is 0: new library code must propagate typed

@@ -30,6 +30,7 @@ fn golden_graphs() -> Vec<(&'static str, Graph)> {
         ("tree", gen::random_tree(64, 3, 5)),
         ("caterpillar", gen::caterpillar(6, 1)),
         ("star", gen::star(3)),
+        ("complete", gen::complete_tree(2, 7)),
     ]
 }
 
