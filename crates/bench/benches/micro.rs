@@ -8,11 +8,11 @@
 use lcl_bench::timing::bench_function;
 use lcl_core::zero_round::ZeroRoundOptions;
 use lcl_core::{decide_zero_round, ReOptions, ReTower};
+use lcl_faults::RunOptions;
 use lcl_graph::{gen, NodeId};
 use lcl_local::{run_sync, IdAssignment};
 use lcl_problems::cv::{orientation_inputs, ColeVishkin, Orientation};
 use lcl_problems::{anti_matching, k_coloring};
-use lcl_volume::run_volume;
 
 fn bench_ball_extraction() {
     let g = gen::random_tree(4096, 3, 1);
@@ -72,7 +72,10 @@ fn bench_synthesize_cycle() {
     let input = lcl::uniform_input(&g);
     let ids = IdAssignment::random_polynomial(512, 3, 5);
     bench_function("run_synthesized_3coloring_cycle_512", || {
-        lcl_local::run_deterministic(&alg, &g, &input, &ids, None).radius
+        lcl_local::simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome
+            .radius
     });
 }
 
@@ -81,14 +84,17 @@ fn bench_volume_probes() {
     let input = lcl::uniform_input(&g);
     let ids = IdAssignment::random_polynomial(2048, 3, 3);
     bench_function("volume_cv_probes_cycle_2048", || {
-        run_volume(
+        lcl_volume::simulate_with(
             &lcl_bench::volume_algos::CvProbeColoring,
             &g,
             &input,
             &ids,
             None,
+            RunOptions::new(),
         )
         .expect("in budget")
+        .outcome
+        .outcome
         .max_probes
     });
 }

@@ -2,6 +2,7 @@
 //! series (E1–E4 of the experiment index).
 
 use lcl_core::{tree_speedup, SpeedupOptions};
+use lcl_faults::RunOptions;
 use lcl_graph::math::{log2_floor, log_log_star, log_star};
 use lcl_graph::{gen, NodeId};
 use lcl_grid::OrientedGrid;
@@ -11,7 +12,7 @@ use lcl_problems::{
     anti_matching, rake_compress_rounds, shortcut_path, two_coloring, DeltaPlusOne,
     ShortcutColoring, TwoColorByAnchor,
 };
-use lcl_volume::run_volume;
+use lcl_volume::simulate_with;
 
 use crate::cells;
 use crate::grid_algos::run_row_coloring;
@@ -226,19 +227,40 @@ pub fn volume() -> Table {
         let cinput = lcl::uniform_input(&cycle);
         let cids = IdAssignment::random_polynomial(n, 3, u64::from(exp));
 
-        let const_probes = run_volume(&ConstProbe, &cycle, &cinput, &cids, None)
-            .expect("in budget")
-            .max_probes;
-        let cv_probes = run_volume(&CvProbeColoring, &cycle, &cinput, &cids, None)
-            .expect("in budget")
-            .max_probes;
+        let const_probes =
+            simulate_with(&ConstProbe, &cycle, &cinput, &cids, None, RunOptions::new())
+                .expect("in budget")
+                .outcome
+                .outcome
+                .max_probes;
+        let cv_probes = simulate_with(
+            &CvProbeColoring,
+            &cycle,
+            &cinput,
+            &cids,
+            None,
+            RunOptions::new(),
+        )
+        .expect("in budget")
+        .outcome
+        .outcome
+        .max_probes;
 
         let path = gen::path(n);
         let pinput = lcl::uniform_input(&path);
         let pids = IdAssignment::random_polynomial(n, 3, u64::from(exp) + 1);
-        let walk_probes = run_volume(&TwoColorProbes, &path, &pinput, &pids, None)
-            .expect("in budget")
-            .max_probes;
+        let walk_probes = simulate_with(
+            &TwoColorProbes,
+            &path,
+            &pinput,
+            &pids,
+            None,
+            RunOptions::new(),
+        )
+        .expect("in budget")
+        .outcome
+        .outcome
+        .max_probes;
 
         table.row(cells!(
             n,

@@ -8,8 +8,9 @@ use lcl_core::speedup_volume::{run_fooled_volume, ProbeDecision, TranscriptAlgor
 use lcl_core::{
     blowup_factor, step_bound, tree_speedup, ReOptions, ReTower, SpeedupOptions, SpeedupOutcome,
 };
+use lcl_faults::RunOptions;
 use lcl_graph::gen;
-use lcl_grid::{run_prod_local, OrientedGrid, ProdIds, RankGridView};
+use lcl_grid::{OrientedGrid, ProdIds, RankGridView};
 use lcl_local::{run_sync, IdAssignment};
 use lcl_problems::{
     anti_matching, free_problem, k_coloring, maximal_matching_problem, mis_problem,
@@ -225,14 +226,17 @@ pub fn volume_gap() -> Table {
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::random_polynomial(n, 3, n as u64);
         let fooled = run_fooled_volume(&LocalMinProbe, 16, &g, &input, &ids).expect("in budget");
-        let plain = lcl_volume::run_volume(
+        let plain = lcl_volume::simulate_with(
             &lcl_core::speedup_volume::TranscriptAsVolume(LocalMinProbe),
             &g,
             &input,
             &ids,
             None,
+            RunOptions::new(),
         )
-        .expect("in budget");
+        .expect("in budget")
+        .outcome
+        .outcome;
         table.row(cells!(
             n,
             fooled.max_probes,
@@ -274,8 +278,12 @@ pub fn grid_gap() -> Table {
         let input = lcl::uniform_input(grid.graph());
         let a = ProdIds::random_polynomial(&grid, 3, 1);
         let b = ProdIds::random_polynomial(&grid, 3, 2);
-        let run_a = run_prod_local(&alg, &grid, &input, &a, None);
-        let run_b = run_prod_local(&alg, &grid, &input, &b, None);
+        let run_a = lcl_grid::simulate_with(&alg, &grid, &input, &a, None, RunOptions::new())
+            .outcome
+            .outcome;
+        let run_b = lcl_grid::simulate_with(&alg, &grid, &input, &b, None, RunOptions::new())
+            .outcome
+            .outcome;
         table.row(cells!(
             side,
             grid.node_count(),
@@ -295,7 +303,7 @@ pub fn grid_gap() -> Table {
 /// the *synthesized* algorithm run and verified on a 64-cycle.
 pub fn landscape_paths() -> Table {
     use lcl_classify::synthesize_cycle;
-    use lcl_local::{run_deterministic, IdAssignment};
+    use lcl_local::IdAssignment;
 
     let mut table = Table::new(
         "E9 / Section 1.4 — decidable classification on oriented paths/cycles",
@@ -323,7 +331,9 @@ pub fn landscape_paths() -> Table {
                 let g = gen::cycle(64);
                 let input = lcl::uniform_input(&g);
                 let ids = IdAssignment::random_polynomial(64, 3, 13);
-                let run = run_deterministic(&alg, &g, &input, &ids, None);
+                let run = lcl_local::simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+                    .outcome
+                    .outcome;
                 let valid = lcl::verify(p, &g, &input, &run.output).is_empty();
                 format!(
                     "{} — {}",

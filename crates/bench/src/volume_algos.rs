@@ -204,17 +204,21 @@ fn walk_to_end(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
     use lcl_local::IdAssignment;
     use lcl_problems::{k_coloring, two_coloring};
-    use lcl_volume::run_volume;
+    use lcl_volume::simulate_with;
 
     #[test]
     fn const_probe_uses_one_probe() {
         let g = gen::cycle(10);
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::sequential(10);
-        let run = run_volume(&ConstProbe, &g, &input, &ids, None).expect("in budget");
+        let run = simulate_with(&ConstProbe, &g, &input, &ids, None, RunOptions::new())
+            .expect("in budget")
+            .outcome
+            .outcome;
         assert_eq!(run.max_probes, 1);
     }
 
@@ -225,7 +229,10 @@ mod tests {
             let g = gen::cycle(n);
             let input = lcl::uniform_input(&g);
             let ids = IdAssignment::random_polynomial(n, 3, n as u64);
-            let run = run_volume(&CvProbeColoring, &g, &input, &ids, None).expect("in budget");
+            let run = simulate_with(&CvProbeColoring, &g, &input, &ids, None, RunOptions::new())
+                .expect("in budget")
+                .outcome
+                .outcome;
             let violations = lcl::verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "n={n}: {violations:?}");
             assert!(run.max_probes <= CvProbeColoring::probes(n));
@@ -240,7 +247,10 @@ mod tests {
             let g = gen::path(n);
             let input = lcl::uniform_input(&g);
             let ids = IdAssignment::sequential(n);
-            let run = run_volume(&TwoColorProbes, &g, &input, &ids, None).expect("in budget");
+            let run = simulate_with(&TwoColorProbes, &g, &input, &ids, None, RunOptions::new())
+                .expect("in budget")
+                .outcome
+                .outcome;
             let violations = lcl::verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "n={n}: {violations:?}");
             // The right end of the path walks all the way: Θ(n).

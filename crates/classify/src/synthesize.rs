@@ -634,8 +634,9 @@ fn emit_fallback(plan: &LogStarPlan) -> Vec<OutLabel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
-    use lcl_local::{run_deterministic, IdAssignment};
+    use lcl_local::{simulate_with, IdAssignment};
 
     fn three_coloring() -> LclProblem {
         LclProblem::parse("max-degree: 2\nnodes:\nA*\nB*\nC*\nedges:\nA B\nA C\nB C\n").unwrap()
@@ -664,7 +665,9 @@ mod tests {
             let g = gen::cycle(n);
             let input = lcl::uniform_input(&g);
             let ids = IdAssignment::random_polynomial(n, 3, n as u64 + 1);
-            let run = run_deterministic(alg, &g, &input, &ids, None);
+            let run = simulate_with(alg, &g, &input, &ids, None, RunOptions::new())
+                .outcome
+                .outcome;
             let violations = lcl::verify(p, &g, &input, &run.output);
             assert!(violations.is_empty(), "n = {n}: {violations:?}");
         }

@@ -642,15 +642,18 @@ fn fallback(plan: &PathPlan, degree: usize) -> Vec<OutLabel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
-    use lcl_local::{run_deterministic, IdAssignment};
+    use lcl_local::{simulate_with, IdAssignment};
 
     fn check_on_paths(p: &LclProblem, alg: &PathAlgorithm, sizes: &[usize]) {
         for &n in sizes {
             let g = gen::path(n);
             let input = lcl::uniform_input(&g);
             let ids = IdAssignment::random_polynomial(n, 3, n as u64 + 3);
-            let run = run_deterministic(alg, &g, &input, &ids, None);
+            let run = simulate_with(alg, &g, &input, &ids, None, RunOptions::new())
+                .outcome
+                .outcome;
             let violations = lcl::verify(p, &g, &input, &run.output);
             assert!(violations.is_empty(), "n = {n}: {violations:?}");
         }

@@ -78,7 +78,8 @@ impl<A: OrderInvariantProdAlgorithm> ProdLocalAlgorithm for OrientationCanonical
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_grid::{run_prod_local, OrientedGrid, ProdIds};
+    use lcl_faults::RunOptions;
+    use lcl_grid::{simulate_with, OrientedGrid, ProdIds};
 
     /// Output, on every port, whether the center's dim-0 slice has the
     /// smallest visible rank in dimension 0 — under the canonical order
@@ -114,8 +115,12 @@ mod tests {
         let alg = OrientationCanonical::new(UpstreamEnd, 16);
         let ids_a = ProdIds::random_polynomial(&grid, 3, 1);
         let ids_b = ProdIds::random_polynomial(&grid, 3, 2);
-        let run_a = run_prod_local(&alg, &grid, &input, &ids_a, None);
-        let run_b = run_prod_local(&alg, &grid, &input, &ids_b, None);
+        let run_a = simulate_with(&alg, &grid, &input, &ids_a, None, RunOptions::new())
+            .outcome
+            .outcome;
+        let run_b = simulate_with(&alg, &grid, &input, &ids_b, None, RunOptions::new())
+            .outcome
+            .outcome;
         assert_eq!(run_a.output, run_b.output);
     }
 
@@ -145,7 +150,9 @@ mod tests {
         let input = lcl::uniform_input(grid.graph());
         let alg = OrientationCanonical::new(UpstreamEnd, 8);
         let ids = ProdIds::sequential(&grid);
-        let run = run_prod_local(&alg, &grid, &input, &ids, None);
+        let run = simulate_with(&alg, &grid, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         let first = run.output.get(lcl_graph::HalfEdgeId(0));
         assert!(run.output.as_slice().iter().all(|&l| l == first));
     }

@@ -115,8 +115,7 @@ impl SpeedupOutcome {
 /// certificates — the tower's own spans), under a root recording the
 /// `f`-steps explored and, on success, the synthesized round count.
 ///
-/// This is the instrumented entrypoint behind the facade's `Simulation`
-/// trait; [`tree_speedup`] forwards here and discards the trace.
+/// [`tree_speedup`] forwards here and discards the trace.
 pub fn tree_speedup_traced(
     problem: &LclProblem,
     opts: SpeedupOptions,

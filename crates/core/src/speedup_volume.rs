@@ -14,9 +14,10 @@
 //! [`VolumeAlgorithm`] interface via [`TranscriptAsVolume`].
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
+use lcl_faults::RunOptions;
 use lcl_graph::Graph;
 use lcl_local::IdAssignment;
-use lcl_volume::{run_volume, NodeInfo, ProbeError, ProbeSession, VolumeAlgorithm, VolumeRun};
+use lcl_volume::{simulate_with, NodeInfo, ProbeError, ProbeSession, VolumeAlgorithm, VolumeRun};
 
 /// One step of a transcript-functional VOLUME algorithm: either the next
 /// adaptive probe `(j, port)` or the final answer.
@@ -161,7 +162,7 @@ where
     A: TranscriptAlgorithm + Clone,
 {
     let pipeline = TranscriptAsVolume(fool(Canonicalized(alg.clone()), n0));
-    run_volume(&pipeline, graph, input, ids, None)
+    simulate_with(&pipeline, graph, input, ids, None, RunOptions::new()).map(|r| r.outcome.outcome)
 }
 
 #[cfg(test)]
@@ -197,8 +198,17 @@ mod tests {
         let g = gen::cycle(8);
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::from_vec(vec![5, 3, 9, 1, 7, 2, 8, 6]);
-        let run =
-            run_volume(&TranscriptAsVolume(LocalMin), &g, &input, &ids, None).expect("in budget");
+        let run = simulate_with(
+            &TranscriptAsVolume(LocalMin),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new(),
+        )
+        .expect("in budget")
+        .outcome
+        .outcome;
         assert_eq!(run.max_probes, 2);
         // Node 3 (id 1) is a local min; node 0 (id 5) is not.
         let h = g.half_edge(lcl_graph::NodeId(3), 0);
@@ -212,16 +222,28 @@ mod tests {
         let g = gen::cycle(8);
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::random_polynomial(8, 3, 4);
-        let raw =
-            run_volume(&TranscriptAsVolume(LocalMin), &g, &input, &ids, None).expect("in budget");
-        let canon = run_volume(
+        let raw = simulate_with(
+            &TranscriptAsVolume(LocalMin),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new(),
+        )
+        .expect("in budget")
+        .outcome
+        .outcome;
+        let canon = simulate_with(
             &TranscriptAsVolume(Canonicalized(LocalMin)),
             &g,
             &input,
             &ids,
             None,
+            RunOptions::new(),
         )
-        .expect("in budget");
+        .expect("in budget")
+        .outcome
+        .outcome;
         assert_eq!(raw.output, canon.output);
     }
 
@@ -277,8 +299,17 @@ mod tests {
         // ...is capped at T(n₀) by fooling.
         let run = run_fooled_volume(&Growing, 8, &g, &input, &ids).expect("in budget");
         assert_eq!(run.max_probes, 4);
-        let raw =
-            run_volume(&TranscriptAsVolume(Growing), &g, &input, &ids, None).expect("in budget");
+        let raw = simulate_with(
+            &TranscriptAsVolume(Growing),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new(),
+        )
+        .expect("in budget")
+        .outcome
+        .outcome;
         assert_eq!(raw.max_probes, 32);
     }
 
@@ -289,8 +320,17 @@ mod tests {
         let g = gen::cycle(16);
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::random_polynomial(16, 3, 9);
-        let plain =
-            run_volume(&TranscriptAsVolume(LocalMin), &g, &input, &ids, None).expect("in budget");
+        let plain = simulate_with(
+            &TranscriptAsVolume(LocalMin),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new(),
+        )
+        .expect("in budget")
+        .outcome
+        .outcome;
         let fooled = run_fooled_volume(&LocalMin, 4, &g, &input, &ids).expect("in budget");
         assert_eq!(plain.output, fooled.output);
         assert_eq!(fooled.max_probes, 2);

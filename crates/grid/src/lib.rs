@@ -13,21 +13,32 @@
 //! * [`OrientedGrid`] — the graph substrate with the canonical port
 //!   convention (port `2k` = `+k` direction, port `2k+1` = `-k`).
 //! * [`ProdIds`] — per-dimension identifier assignments.
-//! * [`ProdLocalAlgorithm`] + [`run_prod_local`] — the PROD-LOCAL
-//!   executor over box-shaped views.
+//! * [`ProdLocalAlgorithm`] + [`simulate_with`] — the PROD-LOCAL
+//!   executor over box-shaped views, under
+//!   [`RunOptions`](lcl_faults::RunOptions).
 //! * [`OrderInvariantProdAlgorithm`] — the order-invariant variant used by
 //!   Propositions 5.4/5.5.
 //!
 //! # Examples
 //!
 //! ```
-//! use lcl_grid::OrientedGrid;
+//! use lcl::OutLabel;
+//! use lcl_faults::RunOptions;
+//! use lcl_grid::{simulate_with, FnProdAlgorithm, OrientedGrid, ProdIds};
 //!
 //! let grid = OrientedGrid::new(&[4, 5]);
 //! assert_eq!(grid.node_count(), 20);
 //! assert_eq!(grid.dimension_count(), 2);
 //! let v = grid.node_at(&[2, 3]);
 //! assert_eq!(grid.coords(v), vec![2, 3]);
+//!
+//! // A radius-1 PROD-LOCAL algorithm labeling all 2d ports 0.
+//! let alg = FnProdAlgorithm::new("zero", |_n| 1, |_view| vec![OutLabel(0); 4]);
+//! let input = lcl::uniform_input(grid.graph());
+//! let ids = ProdIds::sequential(&grid);
+//! let report = simulate_with(&alg, &grid, &input, &ids, None, RunOptions::new());
+//! assert_eq!(report.outcome.outcome.radius, 1);
+//! assert!(report.trace.fingerprint().starts_with("prod-local/"));
 //! ```
 
 pub mod grid;
@@ -38,7 +49,7 @@ pub mod view;
 pub use grid::OrientedGrid;
 pub use ids::ProdIds;
 pub use run::{
-    is_empirically_order_invariant_prod, run_order_invariant_prod, run_prod_local, simulate_with,
-    FnProdAlgorithm, OrderInvariantProdAlgorithm, ProdLocalAlgorithm, ProdRun,
+    is_empirically_order_invariant_prod, run_order_invariant_prod, simulate_with, FnProdAlgorithm,
+    OrderInvariantProdAlgorithm, ProdLocalAlgorithm, ProdRun,
 };
 pub use view::{GridView, RankGridView};

@@ -228,23 +228,6 @@ pub fn simulate_with(
     RunReport::new(degraded, Trace::new(span.finish()))
 }
 
-/// Runs a PROD-LOCAL algorithm on an oriented grid, discarding the trace.
-///
-/// Note: superseded by [`simulate_with`], which additionally reports
-/// the execution trace; this thin wrapper remains for source
-/// compatibility.
-pub fn run_prod_local(
-    alg: &(impl ProdLocalAlgorithm + ?Sized),
-    grid: &OrientedGrid,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &ProdIds,
-    n_announced: Option<usize>,
-) -> ProdRun {
-    simulate_with(alg, grid, input, ids, n_announced, RunOptions::new())
-        .outcome
-        .outcome
-}
-
 /// Runs an order-invariant PROD-LOCAL algorithm (the identifiers only
 /// contribute their relative order).
 pub fn run_order_invariant_prod(
@@ -266,7 +249,16 @@ pub fn run_order_invariant_prod(
             self.0.name()
         }
     }
-    run_prod_local(&Adapter(alg), grid, input, ids, n_announced)
+    simulate_with(
+        &Adapter(alg),
+        grid,
+        input,
+        ids,
+        n_announced,
+        RunOptions::new(),
+    )
+    .outcome
+    .outcome
 }
 
 /// Empirically checks PROD-LOCAL order invariance: reruns the algorithm
@@ -281,10 +273,14 @@ pub fn is_empirically_order_invariant_prod(
     samples: usize,
     seed: u64,
 ) -> bool {
-    let baseline = run_prod_local(alg, grid, input, base_ids, None);
+    let baseline = simulate_with(alg, grid, input, base_ids, None, RunOptions::new())
+        .outcome
+        .outcome;
     for s in 0..samples {
         let fresh = base_ids.resample_order_preserving(seed.wrapping_add(s as u64));
-        let run = run_prod_local(alg, grid, input, &fresh, None);
+        let run = simulate_with(alg, grid, input, &fresh, None, RunOptions::new())
+            .outcome
+            .outcome;
         if run.output != baseline.output {
             return false;
         }
@@ -362,7 +358,9 @@ mod tests {
                 vec![OutLabel(u32::from(mine == min)); 2 * view.d]
             },
         );
-        let run = run_prod_local(&alg, &grid, &input, &ids, None);
+        let run = simulate_with(&alg, &grid, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         assert_eq!(run.radius, 1);
         // With sequential ids, coordinate 0 is the smallest among {3,0,1}
         // (wrapping at side 4): nodes with x=0 adjacent to x=3 and x=1.
@@ -532,7 +530,7 @@ mod tests {
                 vec![OutLabel(0); 2 * view.d]
             },
         );
-        let _ = run_prod_local(&alg, &grid, &input, &ids, None);
+        let _ = simulate_with(&alg, &grid, &input, &ids, None, RunOptions::new());
     }
 
     #[test]
@@ -548,7 +546,9 @@ mod tests {
                 vec![OutLabel(view.id(0, 0) as u32); 2 * view.d]
             },
         );
-        let run = run_prod_local(&alg, &grid, &input, &ids, None);
+        let run = simulate_with(&alg, &grid, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         let v = grid.node_at(&[3, 1]);
         let h = grid.graph().half_edge(v, 0);
         assert_eq!(run.output.get(h), OutLabel(3));
@@ -569,7 +569,9 @@ mod tests {
         let grid = OrientedGrid::new(&[3, 3]);
         let ids = ProdIds::sequential(&grid);
         let input = lcl::uniform_input(grid.graph());
-        let clean = run_prod_local(&echo_alg(), &grid, &input, &ids, None);
+        let clean = simulate_with(&echo_alg(), &grid, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         // `echo_alg` has T = 1: a crash at round 2 comes after the cell
         // has collected its box, so its labels stay intact.
         let late = FaultPlan::new(0).with(Fault::Crash { node: 4, round: 2 });

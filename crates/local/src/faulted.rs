@@ -328,7 +328,9 @@ mod tests {
             RunOptions::new().faults(&late),
         );
         assert!(!report.outcome.is_degraded());
-        let plain = crate::run::run_deterministic(&echo_id_alg(), &g, &input, &ids, None);
+        let plain = simulate_with(&echo_id_alg(), &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         assert_eq!(report.outcome.outcome, plain);
         let on_time = FaultPlan::new(0).with(Fault::Crash { node: 2, round: 1 });
         let report = simulate_with(

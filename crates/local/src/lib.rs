@@ -9,7 +9,10 @@
 //!   nodes `n`, unique identifiers (deterministic algorithms) or random bit
 //!   strings (randomized algorithms), and the input labels in the view.
 //! * [`LocalAlgorithm`] — the view-to-output function; run it with
-//!   [`run_deterministic`] / [`run_randomized`].
+//!   [`simulate_with`] (identifiers) or [`simulate_randomized_with`]
+//!   (private random bits), each under
+//!   [`RunOptions`](lcl_faults::RunOptions) and returning the outcome
+//!   with its execution trace.
 //! * [`SyncAlgorithm`] — the equivalent message-passing formulation, for
 //!   naturally iterative algorithms (Cole–Vishkin, rake-and-compress);
 //!   the executor counts the rounds actually used.
@@ -18,11 +21,11 @@
 //!   order-invariance checker used by the speed-up theorems.
 //! * [`estimate_local_failure`] — Monte-Carlo estimation of the *local
 //!   failure probability* (Definition 2.4) of a randomized algorithm.
-//! * [`simulate_with`] / [`simulate_sync_with`] — the same executors
-//!   under [`RunOptions`](lcl_faults::RunOptions); a deterministic fault
-//!   plan (crash-stops, corrupted views, adversarial ID permutations,
-//!   injected panics) degrades them to typed per-node fault records
-//!   instead of aborting.
+//! * Fault plans — a deterministic plan in the
+//!   [`RunOptions`](lcl_faults::RunOptions) of [`simulate_with`] or
+//!   [`simulate_sync_with`] (crash-stops, corrupted views, adversarial
+//!   ID permutations, injected panics) degrades the run to typed
+//!   per-node fault records instead of aborting.
 //!
 //! # Examples
 //!
@@ -30,7 +33,8 @@
 //!
 //! ```
 //! use lcl::OutLabel;
-//! use lcl_local::{run_deterministic, FnAlgorithm, IdAssignment};
+//! use lcl_faults::RunOptions;
+//! use lcl_local::{simulate_with, FnAlgorithm, IdAssignment};
 //! use lcl_graph::gen;
 //!
 //! let g = gen::path(5);
@@ -39,8 +43,9 @@
 //! });
 //! let input = lcl::uniform_input(&g);
 //! let ids = IdAssignment::sequential(g.node_count());
-//! let run = run_deterministic(&alg, &g, &input, &ids, None);
-//! assert_eq!(run.radius, 0);
+//! let report = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new());
+//! assert!(report.outcome.faults.is_empty(), "no plan, no faults");
+//! assert_eq!(report.outcome.outcome.radius, 0);
 //! ```
 
 pub mod algorithm;
@@ -61,8 +66,8 @@ pub use order_invariant::{
     is_empirically_order_invariant, run_order_invariant, OrderInvariantAlgorithm, RankView,
 };
 pub use run::{
-    estimate_local_failure, estimate_local_failure_parallel, run_deterministic, run_randomized,
-    simulate_randomized_with, simulate_with, FailureEstimate, LocalRun,
+    estimate_local_failure, estimate_local_failure_parallel, simulate_randomized_with,
+    simulate_with, FailureEstimate, LocalRun,
 };
 pub use sync::{run_sync, run_sync_with, simulate_sync_with, NodeInit, SyncAlgorithm, SyncRun};
 pub use view::View;

@@ -7,11 +7,12 @@
 //! exponential-then-binary search.
 
 use lcl::{HalfEdgeLabeling, InLabel, Problem};
+use lcl_faults::RunOptions;
 use lcl_graph::Graph;
 
 use crate::algorithm::LocalAlgorithm;
 use crate::ids::IdAssignment;
-use crate::run::run_deterministic;
+use crate::run::simulate_with;
 
 /// Finds the minimal radius `T <= max_radius` for which the algorithm
 /// family solves `problem` on `graph`, or `None` if even `max_radius`
@@ -35,7 +36,9 @@ where
 {
     let solves = |t: u32| {
         let alg = make(t);
-        let run = run_deterministic(&alg, graph, input, ids, None);
+        let run = simulate_with(&alg, graph, input, ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         lcl::verify(problem, graph, input, &run.output).is_empty()
     };
     if solves(0) {

@@ -8,11 +8,12 @@
 //! one.
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
+use lcl_faults::RunOptions;
 use lcl_graph::{Ball, Graph};
 
 use crate::algorithm::LocalAlgorithm;
 use crate::ids::IdAssignment;
-use crate::run::LocalRun;
+use crate::run::{simulate_with, LocalRun};
 use crate::view::View;
 
 /// The view an order-invariant algorithm sees: identifiers are replaced by
@@ -89,7 +90,16 @@ pub fn run_order_invariant(
             self.0.name()
         }
     }
-    crate::run::run_deterministic(&Adapter(alg), graph, input, ids, n_announced)
+    simulate_with(
+        &Adapter(alg),
+        graph,
+        input,
+        ids,
+        n_announced,
+        RunOptions::new(),
+    )
+    .outcome
+    .outcome
 }
 
 /// Ranks of values within a slice (0 = smallest).
@@ -118,10 +128,14 @@ pub fn is_empirically_order_invariant(
     samples: usize,
     seed: u64,
 ) -> bool {
-    let baseline = crate::run::run_deterministic(alg, graph, input, base_ids, None);
+    let baseline = simulate_with(alg, graph, input, base_ids, None, RunOptions::new())
+        .outcome
+        .outcome;
     for s in 0..samples {
         let fresh = base_ids.resample_order_preserving(3, seed.wrapping_add(s as u64));
-        let run = crate::run::run_deterministic(alg, graph, input, &fresh, None);
+        let run = simulate_with(alg, graph, input, &fresh, None, RunOptions::new())
+            .outcome
+            .outcome;
         if run.output != baseline.output {
             return false;
         }

@@ -226,38 +226,6 @@ pub fn simulate_randomized_with(
     .map(|run| run.outcome)
 }
 
-/// Runs a deterministic LOCAL algorithm, discarding the trace.
-///
-/// Note: superseded by [`simulate_with`], which additionally reports
-/// the execution trace; this thin wrapper remains for source
-/// compatibility.
-pub fn run_deterministic(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-) -> LocalRun {
-    simulate_with(alg, graph, input, ids, n_announced, RunOptions::new())
-        .outcome
-        .outcome
-}
-
-/// Runs a randomized LOCAL algorithm, discarding the trace.
-///
-/// Note: superseded by [`simulate_randomized_with`], which additionally
-/// reports the execution trace; this thin wrapper remains for source
-/// compatibility.
-pub fn run_randomized(
-    alg: &(impl LocalAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    seed: u64,
-    n_announced: Option<usize>,
-) -> LocalRun {
-    simulate_randomized_with(alg, graph, input, seed, n_announced, RunOptions::new()).outcome
-}
-
 /// A Monte-Carlo estimate of an algorithm's local failure probability
 /// (Definition 2.4): the maximum, over nodes and edges, of the empirical
 /// probability that the algorithm fails at that object.
@@ -306,7 +274,15 @@ pub fn estimate_local_failure(
     let mut edge_failures = vec![0usize; graph.edge_count()];
     let mut global_failures = 0usize;
     for t in 0..trials {
-        let run = run_randomized(alg, graph, input, seed.wrapping_add(t as u64), None);
+        let run = simulate_randomized_with(
+            alg,
+            graph,
+            input,
+            seed.wrapping_add(t as u64),
+            None,
+            RunOptions::new(),
+        )
+        .outcome;
         let violations = lcl::verify(problem, graph, input, &run.output);
         if !violations.is_empty() {
             global_failures += 1;
@@ -382,13 +358,15 @@ pub fn estimate_local_failure_parallel(
                     let mut global_failures = 0usize;
                     let mut trial = t;
                     while trial < trials {
-                        let run = run_randomized(
+                        let run = simulate_randomized_with(
                             alg,
                             graph,
                             input,
                             seed.wrapping_add(trial as u64),
                             None,
-                        );
+                            RunOptions::new(),
+                        )
+                        .outcome;
                         let violations = lcl::verify(problem, graph, input, &run.output);
                         if !violations.is_empty() {
                             global_failures += 1;
@@ -481,7 +459,9 @@ mod tests {
         );
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::from_vec(vec![5, 9, 2, 7]);
-        let run = run_deterministic(&alg, &g, &input, &ids, None);
+        let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         // Node 1 (id 9) is a local max; node 0 (id 5 < 9) is not.
         let h0 = g.half_edge(lcl_graph::NodeId(1), 0);
         assert_eq!(run.output.get(h0), OutLabel(1));
@@ -498,10 +478,10 @@ mod tests {
             |view| vec![OutLabel((view.bits[0] % 2) as u32); view.center_degree()],
         );
         let input = lcl::uniform_input(&g);
-        let a = run_randomized(&alg, &g, &input, 3, None);
-        let b = run_randomized(&alg, &g, &input, 3, None);
+        let a = simulate_randomized_with(&alg, &g, &input, 3, None, RunOptions::new()).outcome;
+        let b = simulate_randomized_with(&alg, &g, &input, 3, None, RunOptions::new()).outcome;
         assert_eq!(a, b);
-        let c = run_randomized(&alg, &g, &input, 4, None);
+        let c = simulate_randomized_with(&alg, &g, &input, 4, None, RunOptions::new()).outcome;
         assert!(a != c || a == c, "different seeds may differ");
     }
 
@@ -515,7 +495,9 @@ mod tests {
         );
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::sequential(4);
-        let run = run_deterministic(&alg, &g, &input, &ids, Some(16));
+        let run = simulate_with(&alg, &g, &input, &ids, Some(16), RunOptions::new())
+            .outcome
+            .outcome;
         let h = g.half_edge(lcl_graph::NodeId(0), 0);
         assert_eq!(run.output.get(h), OutLabel(16));
     }
@@ -612,7 +594,9 @@ mod tests {
         assert!(!report.outcome.is_degraded());
         assert_eq!(
             report.outcome.outcome,
-            run_deterministic(&alg, &g, &input, &ids, None)
+            simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+                .outcome
+                .outcome
         );
         let trace = &report.trace;
         assert_eq!(trace.total(Counter::Nodes), 4);
@@ -711,6 +695,6 @@ mod tests {
         let alg = FnAlgorithm::new("bad", |_| 0, |_| vec![OutLabel(0)]);
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::sequential(3);
-        let _ = run_deterministic(&alg, &g, &input, &ids, None);
+        let _ = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new());
     }
 }

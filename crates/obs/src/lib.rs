@@ -84,8 +84,7 @@ use std::sync::Arc;
 ///
 /// Every model entrypoint (`local::simulate_with`,
 /// `volume::simulate_with`, `volume::simulate_lca_with`,
-/// `grid::simulate_with`) returns one of these, and the facade's
-/// `Simulation` trait abstracts over them. When the run was
+/// `grid::simulate_with`) returns one of these. When the run was
 /// event-logged, the log rides along and [`RunReport::events`] exposes
 /// it.
 #[derive(Clone, Debug)]

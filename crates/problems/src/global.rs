@@ -59,8 +59,9 @@ impl LocalAlgorithm for TwoColorByAnchor {
 mod tests {
     use super::*;
     use crate::catalog::two_coloring;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
-    use lcl_local::{minimal_solving_radius, run_deterministic, IdAssignment};
+    use lcl_local::{minimal_solving_radius, simulate_with, IdAssignment};
 
     #[test]
     fn full_radius_two_colors_paths_and_trees() {
@@ -71,7 +72,9 @@ mod tests {
             let alg = TwoColorByAnchor {
                 radius: g.node_count() as u32,
             };
-            let run = run_deterministic(&alg, &g, &input, &ids, None);
+            let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+                .outcome
+                .outcome;
             let violations = lcl::verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "{violations:?}");
         }
@@ -105,7 +108,9 @@ mod tests {
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::sequential(10);
         let alg = TwoColorByAnchor { radius: 2 };
-        let run = run_deterministic(&alg, &g, &input, &ids, None);
+        let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         assert!(!lcl::verify(&problem, &g, &input, &run.output).is_empty());
     }
 }

@@ -263,7 +263,8 @@ impl LocalAlgorithm for ShortcutColoring {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_local::{minimal_solving_radius, run_deterministic, IdAssignment};
+    use lcl_faults::RunOptions;
+    use lcl_local::{minimal_solving_radius, simulate_with, IdAssignment};
 
     #[test]
     fn construction_shape() {
@@ -292,7 +293,9 @@ mod tests {
             let (g, input) = shortcut_path(levels);
             let ids = IdAssignment::random_polynomial(g.node_count(), 3, 9);
             let alg = ShortcutColoring { radius: None };
-            let run = run_deterministic(&alg, &g, &input, &ids, None);
+            let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+                .outcome
+                .outcome;
             let violations = lcl::verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "levels={levels}: {violations:?}");
         }

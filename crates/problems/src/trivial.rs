@@ -93,8 +93,9 @@ impl LocalAlgorithm for ConstantZero {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
-    use lcl_local::{run_deterministic, IdAssignment};
+    use lcl_local::{simulate_with, IdAssignment};
 
     #[test]
     fn free_problem_accepts_anything() {
@@ -102,7 +103,9 @@ mod tests {
         let g = gen::random_tree(12, 3, 1);
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::sequential(12);
-        let run = run_deterministic(&ConstantZero, &g, &input, &ids, None);
+        let run = simulate_with(&ConstantZero, &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         assert!(lcl::verify(&p, &g, &input, &run.output).is_empty());
     }
 
@@ -111,7 +114,9 @@ mod tests {
         let g = gen::caterpillar(5, 2);
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::sequential(g.node_count());
-        let run = run_deterministic(&MaxDegree2Hop, &g, &input, &ids, None);
+        let run = simulate_with(&MaxDegree2Hop, &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         let reference = max_degree_2hop_reference(&g);
         for v in g.nodes() {
             if g.degree(v) == 0 {

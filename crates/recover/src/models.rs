@@ -16,9 +16,7 @@
 //! zero rounds tried rather than guessing.
 
 use lcl::{verify, HalfEdgeLabeling, InLabel, OutLabel, Problem};
-#[cfg(test)]
-use lcl_faults::RunOptions;
-use lcl_faults::{isolate, Degraded, FaultPlan};
+use lcl_faults::{isolate, Degraded, FaultPlan, RunOptions};
 use lcl_graph::Graph;
 use lcl_grid::{OrientedGrid, ProdIds};
 use lcl_local::sync::{run_sync, SyncAlgorithm, SyncRun};
@@ -40,37 +38,45 @@ pub struct ModelRepair {
     pub trace: Trace,
 }
 
-/// Shared tail: try certification, then mend against the reference when
-/// one is available.
+/// The shared certify-or-repair pass of every wrapper below: opens the
+/// `recover/{model}/{alg}` span, runs the fault-free `reference`
+/// panic-isolated, tries certification, and mends against the
+/// reference when it completed.
+#[allow(clippy::too_many_arguments)] // the wrappers' shared tail
 fn certify_or_repair<P: Problem + ?Sized>(
-    span: &mut Span,
+    span: String,
+    faults: usize,
     p: &P,
     graph: &Graph,
     input: &HalfEdgeLabeling<InLabel>,
-    output: HalfEdgeLabeling<OutLabel>,
-    reference: Option<HalfEdgeLabeling<OutLabel>>,
+    output: &HalfEdgeLabeling<OutLabel>,
+    reference: impl FnOnce() -> Option<HalfEdgeLabeling<OutLabel>>,
     opts: RepairOptions,
-) -> Result<Certified<HalfEdgeLabeling<OutLabel>>, RepairFailed> {
-    let initial = verify(p, graph, input, &output);
+) -> ModelRepair {
+    let mut span = Span::start(span);
+    span.set(Counter::Faults, faults as u64);
+    let reference = isolate(reference).ok().flatten();
+    let initial = verify(p, graph, input, output);
     span.set(Counter::Violations, initial.len() as u64);
     span.set(Counter::Repairs, 0);
     span.set(Counter::RepairedNodes, 0);
-    if initial.is_empty() {
-        return certify(p, graph, input, output);
-    }
-    let Some(reference) = reference else {
-        return Err(RepairFailed {
-            violations: initial,
-            rounds_tried: 0,
-        });
-    };
-    match repair(p, graph, input, output, &reference, opts) {
-        Ok((certified, report)) => {
+    let result = if initial.is_empty() {
+        certify(p, graph, input, output.clone())
+    } else if let Some(reference) = reference {
+        repair(p, graph, input, output.clone(), &reference, opts).map(|(certified, report)| {
             span.set(Counter::Repairs, u64::from(report.rounds));
             span.set(Counter::RepairedNodes, report.patched_nodes);
-            Ok(certified)
-        }
-        Err(failed) => Err(failed),
+            certified
+        })
+    } else {
+        Err(RepairFailed {
+            violations: initial,
+            rounds_tried: 0,
+        })
+    };
+    ModelRepair {
+        result,
+        trace: Trace::new(span.finish()),
     }
 }
 
@@ -92,24 +98,17 @@ pub fn repair_sync_degraded<A: SyncAlgorithm, P: Problem + ?Sized>(
     degraded: &Degraded<SyncRun>,
     opts: RepairOptions,
 ) -> ModelRepair {
-    let mut span = Span::start(format!("recover/sync/{}", alg.name()));
-    span.set(Counter::Faults, degraded.faults.len() as u64);
     let ids = ids_under(ids, Some(plan));
-    let reference =
-        isolate(|| run_sync(alg, graph, input, &ids, n_announced, max_rounds).output).ok();
-    let result = certify_or_repair(
-        &mut span,
+    certify_or_repair(
+        format!("recover/sync/{}", alg.name()),
+        degraded.faults.len(),
         p,
         graph,
         input,
-        degraded.outcome.output.clone(),
-        reference,
+        &degraded.outcome.output,
+        || Some(run_sync(alg, graph, input, &ids, n_announced, max_rounds).output),
         opts,
-    );
-    ModelRepair {
-        result,
-        trace: Trace::new(span.finish()),
-    }
+    )
 }
 
 /// Certifies (and repairs if needed) the degraded outcome of
@@ -127,24 +126,21 @@ pub fn repair_local_degraded<P: Problem + ?Sized>(
     degraded: &Degraded<LocalRun>,
     opts: RepairOptions,
 ) -> ModelRepair {
-    let mut span = Span::start(format!("recover/local/{}", alg.name()));
-    span.set(Counter::Faults, degraded.faults.len() as u64);
     let ids = ids.under(Some(plan));
-    let reference =
-        isolate(|| lcl_local::run_deterministic(alg, graph, input, &ids, n_announced).output).ok();
-    let result = certify_or_repair(
-        &mut span,
+    let reference = || {
+        let run = lcl_local::simulate_with(alg, graph, input, &ids, n_announced, RunOptions::new());
+        Some(run.outcome.outcome.output)
+    };
+    certify_or_repair(
+        format!("recover/local/{}", alg.name()),
+        degraded.faults.len(),
         p,
         graph,
         input,
-        degraded.outcome.output.clone(),
+        &degraded.outcome.output,
         reference,
         opts,
-    );
-    ModelRepair {
-        result,
-        trace: Trace::new(span.finish()),
-    }
+    )
 }
 
 /// Certifies (and repairs if needed) the degraded outcome of
@@ -162,26 +158,22 @@ pub fn repair_volume_degraded<P: Problem + ?Sized>(
     degraded: &Degraded<VolumeRun>,
     opts: RepairOptions,
 ) -> ModelRepair {
-    let mut span = Span::start(format!("recover/volume/{}", alg.name()));
-    span.set(Counter::Faults, degraded.faults.len() as u64);
     let ids = ids.under(Some(plan));
-    let reference = isolate(|| lcl_volume::run_volume(alg, graph, input, &ids, n_announced))
-        .ok()
-        .and_then(|r| r.ok())
-        .map(|r| r.output);
-    let result = certify_or_repair(
-        &mut span,
+    let reference = || {
+        let run =
+            lcl_volume::simulate_with(alg, graph, input, &ids, n_announced, RunOptions::new());
+        run.ok().map(|run| run.outcome.outcome.output)
+    };
+    certify_or_repair(
+        format!("recover/volume/{}", alg.name()),
+        degraded.faults.len(),
         p,
         graph,
         input,
-        degraded.outcome.output.clone(),
+        &degraded.outcome.output,
         reference,
         opts,
-    );
-    ModelRepair {
-        result,
-        trace: Trace::new(span.finish()),
-    }
+    )
 }
 
 /// Certifies (and repairs if needed) the degraded outcome of
@@ -197,26 +189,21 @@ pub fn repair_lca_degraded<P: Problem + ?Sized>(
     degraded: &Degraded<VolumeRun>,
     opts: RepairOptions,
 ) -> ModelRepair {
-    let mut span = Span::start(format!("recover/lca/{}", alg.name()));
-    span.set(Counter::Faults, degraded.faults.len() as u64);
     let ids = ids.under(Some(plan));
-    let reference = isolate(|| lcl_volume::run_lca(alg, graph, input, &ids))
-        .ok()
-        .and_then(|r| r.ok())
-        .map(|r| r.output);
-    let result = certify_or_repair(
-        &mut span,
+    let reference = || {
+        let run = lcl_volume::simulate_lca_with(alg, graph, input, &ids, RunOptions::new());
+        run.ok().map(|run| run.outcome.outcome.output)
+    };
+    certify_or_repair(
+        format!("recover/lca/{}", alg.name()),
+        degraded.faults.len(),
         p,
         graph,
         input,
-        degraded.outcome.output.clone(),
+        &degraded.outcome.output,
         reference,
         opts,
-    );
-    ModelRepair {
-        result,
-        trace: Trace::new(span.finish()),
-    }
+    )
 }
 
 /// Certifies (and repairs if needed) the degraded outcome of
@@ -234,24 +221,21 @@ pub fn repair_prod_degraded<P: Problem + ?Sized>(
     degraded: &Degraded<lcl_grid::ProdRun>,
     opts: RepairOptions,
 ) -> ModelRepair {
-    let mut span = Span::start(format!("recover/prod/{}", alg.name()));
-    span.set(Counter::Faults, degraded.faults.len() as u64);
     let ids = ids.under(Some(plan));
-    let reference =
-        isolate(|| lcl_grid::run_prod_local(alg, grid, input, &ids, n_announced).output).ok();
-    let result = certify_or_repair(
-        &mut span,
+    let reference = || {
+        let run = lcl_grid::simulate_with(alg, grid, input, &ids, n_announced, RunOptions::new());
+        Some(run.outcome.outcome.output)
+    };
+    certify_or_repair(
+        format!("recover/prod/{}", alg.name()),
+        degraded.faults.len(),
         p,
         grid.graph(),
         input,
-        degraded.outcome.output.clone(),
+        &degraded.outcome.output,
         reference,
         opts,
-    );
-    ModelRepair {
-        result,
-        trace: Trace::new(span.finish()),
-    }
+    )
 }
 
 #[cfg(test)]

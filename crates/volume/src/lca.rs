@@ -5,7 +5,7 @@
 //! looking up an arbitrary identifier — are allowed. Theorem 2.12 (Göös,
 //! Hirvonen, Levi, Medina, Suomela) shows far probes do not help below
 //! `o(√log n)` probes, which is why the paper's VOLUME gap transfers to
-//! LCAs; [`run_lca`] makes the model concrete so the suite can demonstrate
+//! LCAs; [`simulate_lca_with`] makes the model concrete so the suite can demonstrate
 //! the transfer.
 
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
@@ -155,28 +155,6 @@ pub fn simulate_lca_with(
     Ok(RunReport::new(run, Trace::new(span.finish())))
 }
 
-/// Runs an LCA over every node of the graph, discarding the trace.
-///
-/// Note: superseded by [`simulate_lca_with`], which additionally
-/// reports the execution trace; this thin wrapper remains for source
-/// compatibility.
-///
-/// # Errors
-///
-/// The first [`ProbeError`] any query runs into.
-pub fn run_lca(
-    alg: &(impl LcaAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-) -> Result<VolumeRun, ProbeError> {
-    Ok(
-        simulate_lca_with(alg, graph, input, ids, RunOptions::new())?
-            .outcome
-            .outcome,
-    )
-}
-
 /// Adapts a VOLUME algorithm into an LCA that never uses far probes — the
 /// direction of Theorem 2.12 that is immediate.
 #[derive(Debug)]
@@ -230,7 +208,10 @@ mod tests {
                 Ok(vec![OutLabel(u32::from(info.degree)); d])
             }
         }
-        let run = run_lca(&FarDegree, &g, &input, &ids).expect("far probes only");
+        let run = simulate_lca_with(&FarDegree, &g, &input, &ids, RunOptions::new())
+            .expect("far probes only")
+            .outcome
+            .outcome;
         // Node with id 1 is node 0, an endpoint of degree 1.
         assert!(run.output.as_slice().iter().all(|&l| l == OutLabel(1)));
         assert_eq!(run.max_probes, 3); // every far probe is counted
@@ -268,7 +249,10 @@ mod tests {
                 Ok(vec![OutLabel(u32::from(s.far_probe(99).is_none())); d])
             }
         }
-        let run = run_lca(&Missing, &g, &input, &ids).expect("far probes only");
+        let run = simulate_lca_with(&Missing, &g, &input, &ids, RunOptions::new())
+            .expect("far probes only")
+            .outcome
+            .outcome;
         assert!(run.output.as_slice().iter().all(|&l| l == OutLabel(1)));
     }
 
@@ -333,7 +317,7 @@ mod tests {
             |_| 0,
             |s| Ok(vec![OutLabel(0); s.queried().degree as usize]),
         ));
-        let _ = run_lca(&alg, &g, &input, &ids);
+        let _ = simulate_lca_with(&alg, &g, &input, &ids, RunOptions::new());
     }
 
     #[test]
@@ -350,8 +334,8 @@ mod tests {
             },
         ));
         assert_eq!(
-            run_lca(&alg, &g, &input, &ids),
-            Err(ProbeError::TargetNotDiscovered {
+            simulate_lca_with(&alg, &g, &input, &ids, RunOptions::new()).err(),
+            Some(ProbeError::TargetNotDiscovered {
                 j: 7,
                 discovered: 1
             })
@@ -372,8 +356,14 @@ mod tests {
                 Ok(vec![OutLabel((n0.id % 2) as u32); d])
             },
         );
-        let volume_run = crate::run::run_volume(&alg, &g, &input, &ids, None).expect("in budget");
-        let lca_run = run_lca(&VolumeAsLca(alg), &g, &input, &ids).expect("in budget");
+        let volume_run = crate::run::simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .expect("in budget")
+            .outcome
+            .outcome;
+        let lca_run = simulate_lca_with(&VolumeAsLca(alg), &g, &input, &ids, RunOptions::new())
+            .expect("in budget")
+            .outcome
+            .outcome;
         assert_eq!(volume_run.output, lca_run.output);
         assert_eq!(volume_run.max_probes, lca_run.max_probes);
     }

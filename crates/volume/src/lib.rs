@@ -11,13 +11,15 @@
 //! * [`VolumeAlgorithm`] + [`ProbeSession`] — the adaptive probe
 //!   interface; the session enforces the probe budget `T(n)` and records
 //!   the transcript `t^{(i)}`.
-//! * [`run_volume`] — answers the query of every node and reports the
-//!   worst-case probe count.
+//! * [`simulate_with`] — answers the query of every node under
+//!   [`RunOptions`](lcl_faults::RunOptions) and reports the worst-case
+//!   probe count with the execution trace.
 //! * [`order_invariant`] — Definition 2.10 order invariance plus the
 //!   empirical checker used by the Theorem 4.1 pipeline.
 //! * [`lca`] — the LCA variant: identifiers are exactly `{1, ..., n}` and
 //!   far probes are available (Theorem 2.12 shows they do not help below
-//!   `o(√log n)`; the adapter here makes that concrete).
+//!   `o(√log n)`; the adapter here makes that concrete); run it with
+//!   [`simulate_lca_with`].
 //!
 //! # Examples
 //!
@@ -26,8 +28,9 @@
 //!
 //! ```
 //! use lcl::OutLabel;
+//! use lcl_faults::RunOptions;
 //! use lcl_local::IdAssignment;
-//! use lcl_volume::{run_volume, FnVolumeAlgorithm};
+//! use lcl_volume::{simulate_with, FnVolumeAlgorithm};
 //! use lcl_graph::gen;
 //!
 //! let g = gen::cycle(5);
@@ -38,8 +41,8 @@
 //! });
 //! let input = lcl::uniform_input(&g);
 //! let ids = IdAssignment::sequential(5);
-//! let run = run_volume(&alg, &g, &input, &ids, None)?;
-//! assert_eq!(run.max_probes, 1);
+//! let report = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())?;
+//! assert_eq!(report.outcome.outcome.max_probes, 1);
 //! # Ok::<(), lcl_volume::ProbeError>(())
 //! ```
 //!
@@ -53,6 +56,6 @@ pub mod order_invariant;
 pub mod run;
 
 pub use algorithm::{FnVolumeAlgorithm, NodeInfo, ProbeError, ProbeSession, VolumeAlgorithm};
-pub use lca::{run_lca, simulate_lca_with, LcaAlgorithm, LcaSession};
+pub use lca::{simulate_lca_with, LcaAlgorithm, LcaSession};
 pub use order_invariant::{is_empirically_order_invariant_volume, RankedInfo, RankedSession};
-pub use run::{minimal_probe_budget, run_volume, simulate_with, VolumeRun};
+pub use run::{minimal_probe_budget, simulate_with, VolumeRun};

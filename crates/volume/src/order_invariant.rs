@@ -8,11 +8,13 @@
 //! replaces raw identifiers by their ranks among the ids discovered so far.
 
 use lcl::{HalfEdgeLabeling, InLabel};
+use lcl_faults::RunOptions;
 use lcl_graph::Graph;
 
 use lcl_local::IdAssignment;
 
 use crate::algorithm::{NodeInfo, ProbeError, ProbeSession, VolumeAlgorithm};
+use crate::run::simulate_with;
 
 /// A [`NodeInfo`] with the identifier replaced by its *rank* among the ids
 /// discovered so far in the session.
@@ -111,10 +113,14 @@ pub fn is_empirically_order_invariant_volume(
     samples: usize,
     seed: u64,
 ) -> Result<bool, ProbeError> {
-    let baseline = crate::run::run_volume(alg, graph, input, base_ids, None)?;
+    let baseline = simulate_with(alg, graph, input, base_ids, None, RunOptions::new())?
+        .outcome
+        .outcome;
     for s in 0..samples {
         let fresh = base_ids.resample_order_preserving(3, seed.wrapping_add(s as u64));
-        let run = crate::run::run_volume(alg, graph, input, &fresh, None)?;
+        let run = simulate_with(alg, graph, input, &fresh, None, RunOptions::new())?
+            .outcome
+            .outcome;
         if run.output != baseline.output {
             return Ok(false);
         }

@@ -220,29 +220,6 @@ pub(crate) fn answer_queries<'a>(
     ))
 }
 
-/// Runs a VOLUME algorithm over every node, discarding the trace.
-///
-/// Note: superseded by [`simulate_with`], which additionally reports
-/// the execution trace; this thin wrapper remains for source
-/// compatibility.
-///
-/// # Errors
-///
-/// As [`simulate_with`].
-pub fn run_volume(
-    alg: &(impl VolumeAlgorithm + ?Sized),
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &IdAssignment,
-    n_announced: Option<usize>,
-) -> Result<VolumeRun, ProbeError> {
-    Ok(
-        simulate_with(alg, graph, input, ids, n_announced, RunOptions::new())?
-            .outcome
-            .outcome,
-    )
-}
-
 /// Finds the minimal probe budget `T ≤ max_budget` under which the
 /// algorithm family solves `problem` on `graph`, or `None`. The VOLUME
 /// analogue of [`lcl_local::minimal_solving_radius`]; assumes solvability
@@ -262,8 +239,8 @@ where
 {
     let solves = |budget: usize| {
         let alg = make(budget);
-        run_volume(&alg, graph, input, ids, None)
-            .map(|run| lcl::verify(problem, graph, input, &run.output).is_empty())
+        simulate_with(&alg, graph, input, ids, None, RunOptions::new())
+            .map(|r| lcl::verify(problem, graph, input, &r.outcome.outcome.output).is_empty())
             .unwrap_or(false)
     };
     if solves(0) {
@@ -307,7 +284,10 @@ mod tests {
             |_| 0,
             |s| Ok(vec![OutLabel(7); s.queried().degree as usize]),
         );
-        let run = run_volume(&alg, &g, &input, &ids, None).expect("zero probes");
+        let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .expect("zero probes")
+            .outcome
+            .outcome;
         assert_eq!(run.max_probes, 0);
         assert_eq!(run.total_probes, 0);
         assert!(run.output.as_slice().iter().all(|&l| l == OutLabel(7)));
@@ -330,7 +310,10 @@ mod tests {
                 Ok(vec![OutLabel(0); d as usize])
             },
         );
-        let run = run_volume(&alg, &g, &input, &ids, None).expect("in budget");
+        let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .expect("in budget")
+            .outcome
+            .outcome;
         assert_eq!(run.max_probes, 2); // interior nodes probe twice
         assert_eq!(run.total_probes, 2 + 2 + 1 + 1);
     }
@@ -348,8 +331,8 @@ mod tests {
             },
         );
         assert_eq!(
-            run_volume(&alg, &g, &input, &ids, None),
-            Err(ProbeError::BudgetExhausted { budget: 1 })
+            simulate_with(&alg, &g, &input, &ids, None, RunOptions::new()).err(),
+            Some(ProbeError::BudgetExhausted { budget: 1 })
         );
     }
 
@@ -517,7 +500,7 @@ mod tests {
             |_| 0,
             |s| Ok(vec![OutLabel(0); s.queried().degree as usize]),
         );
-        let _ = run_volume(&alg, &g, &input, &ids, None);
+        let _ = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new());
     }
 
     /// A VOLUME run under `plan`, which never takes the `Err` leg.

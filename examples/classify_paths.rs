@@ -49,8 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The certificates are executable: synthesize an algorithm from the
     // classification and run it.
     use lcl_landscape::classify::synthesize_cycle;
+    use lcl_landscape::faults::RunOptions;
     use lcl_landscape::graph::gen;
-    use lcl_landscape::local::{run_deterministic, IdAssignment};
+    use lcl_landscape::local::{simulate_with, IdAssignment};
 
     println!("\nsynthesized algorithms, verified on a 100-cycle:");
     for p in &battery {
@@ -61,7 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let g = gen::cycle(100);
         let input = lcl_landscape::lcl::uniform_input(&g);
         let ids = IdAssignment::random_polynomial(100, 3, 5);
-        let run = run_deterministic(&alg, &g, &input, &ids, None);
+        let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         let ok = lcl_landscape::lcl::verify(p, &g, &input, &run.output).is_empty();
         println!(
             "  {:<24} {} [{}]",

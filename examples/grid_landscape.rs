@@ -7,8 +7,9 @@
 //! ```
 
 use lcl_landscape::core::speedup_grids::OrientationCanonical;
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::grid::{
-    run_prod_local, OrderInvariantProdAlgorithm, OrientedGrid, ProdIds, RankGridView,
+    simulate_with, OrderInvariantProdAlgorithm, OrientedGrid, ProdIds, RankGridView,
 };
 use lcl_landscape::lcl::OutLabel;
 
@@ -47,7 +48,9 @@ fn main() {
     // for free, so an order-invariant algorithm runs with *no*
     // identifiers at all, fooled at a constant n₀.
     let canonical = OrientationCanonical::new(UpstreamEnd, 16);
-    let run = run_prod_local(&canonical, &grid, &input, &ids, None);
+    let run = simulate_with(&canonical, &grid, &input, &ids, None, RunOptions::new())
+        .outcome
+        .outcome;
     println!(
         "orientation-canonical run: radius {}, identifier-free",
         run.radius
@@ -63,7 +66,16 @@ fn main() {
 
     // Contrast: give the same algorithm real identifiers (no
     // canonicalization) and the output depends on them.
-    let raw = run_prod_local(&AsProd(UpstreamEnd), &grid, &input, &ids, None);
+    let raw = simulate_with(
+        &AsProd(UpstreamEnd),
+        &grid,
+        &input,
+        &ids,
+        None,
+        RunOptions::new(),
+    )
+    .outcome
+    .outcome;
     let raw_uniform = {
         let first = raw.output.get(lcl_landscape::graph::HalfEdgeId(0));
         raw.output.as_slice().iter().all(|&l| l == first)

@@ -1,6 +1,6 @@
 //! Quickstart: define an LCL problem, run distributed algorithms for it
-//! through the unified `Simulation` API, and inspect the execution trace
-//! every simulator now returns.
+//! through each model's `simulate_*_with` entrypoint, and inspect the
+//! execution trace every simulator returns.
 //!
 //! ```sh
 //! cargo run --example quickstart
@@ -9,10 +9,9 @@
 use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::gen;
 use lcl_landscape::lcl::{verify, violations_summary, LclProblem};
-use lcl_landscape::local::{simulate_sync_with, IdAssignment};
+use lcl_landscape::local::{simulate_sync_with, simulate_with, IdAssignment};
 use lcl_landscape::obs::Counter;
 use lcl_landscape::problems::cv::{orientation_inputs, ColeVishkin, Orientation};
-use lcl_landscape::simulation::{GraphInstance, LocalSim, Simulation};
 use lcl_landscape::LandscapeError;
 
 fn main() -> Result<(), LandscapeError> {
@@ -66,14 +65,19 @@ fn main() -> Result<(), LandscapeError> {
     println!("verification: {}", violations_summary(&violations));
     assert!(violations.is_empty());
 
-    // 5. The same machinery, model-agnostic: `Simulation` drives LOCAL,
-    //    VOLUME, LCA, and PROD-LOCAL uniformly. Here: a radius-2 LOCAL
-    //    algorithm on the same cycle, via the trait.
+    // 5. Every model has one entrypoint taking `RunOptions`:
+    //    `local::simulate_with`, `volume::simulate_with`,
+    //    `volume::simulate_lca_with` and `grid::simulate_with`. Here: a
+    //    radius-2 view-based LOCAL algorithm on the same cycle.
     let uniform = lcl_landscape::lcl::uniform_input(&graph);
-    let local = LocalSim::simulate(
+    let local = simulate_with(
         &lcl_landscape::problems::trivial::MaxDegree2Hop,
-        GraphInstance::new(&graph, &uniform, &ids),
-    )?;
+        &graph,
+        &uniform,
+        &ids,
+        None,
+        RunOptions::new(),
+    );
     println!(
         "{} queried {} views of {} total nodes",
         local.trace.root().name(),

@@ -8,9 +8,10 @@
 use lcl_landscape::core::speedup_volume::{
     run_fooled_volume, ProbeDecision, TranscriptAlgorithm, TranscriptAsVolume,
 };
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::gen;
 use lcl_landscape::local::IdAssignment;
-use lcl_landscape::volume::{run_volume, NodeInfo};
+use lcl_landscape::volume::{simulate_with, NodeInfo};
 
 /// An order-invariant 2-probe algorithm: am I a local minimum on the
 /// cycle?
@@ -48,8 +49,17 @@ fn main() {
 
     // Plain run: the executor counts every probe. An out-of-contract
     // probe would surface as a typed `ProbeError` here.
-    let plain = run_volume(&TranscriptAsVolume(LocalMin), &graph, &input, &ids, None)
-        .expect("local-min stays within its 2-probe budget");
+    let plain = simulate_with(
+        &TranscriptAsVolume(LocalMin),
+        &graph,
+        &input,
+        &ids,
+        None,
+        RunOptions::new(),
+    )
+    .expect("local-min stays within its 2-probe budget")
+    .outcome
+    .outcome;
     println!(
         "plain run on n = {n}: max {} probes, {} total",
         plain.max_probes, plain.total_probes

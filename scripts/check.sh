@@ -10,6 +10,15 @@ cargo build --release
 echo "== cargo test --release =="
 cargo test -q --release
 
+echo "== examples (each runs to completion; their asserts are checks) =="
+# `cargo test` only compiles examples/, so this is the one step that
+# runs their assertions.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "-- $name"
+  cargo run -q --release --example "$name" > /dev/null
+done
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -59,6 +68,26 @@ echo "== perfbench unit tests (metric and span code) =="
 # The self-test above runs the workloads; these are perfbench's own
 # unit tests of its metric and span code, which nothing else runs.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+echo "== #[cfg(test)] gate (every test attribute opens a test module) =="
+# The unwrap and panic gates below treat the first `#[cfg(test)]` in a
+# file as the start of its tests, so one on anything but a module (a
+# stray `use`, say) would hide the library code after it from both.
+# Every `#[cfg(test)]` in crates/*/src must be directly followed by a
+# `mod` item.
+STRAY=$(find crates/*/src -name '*.rs' | sort | xargs awk '
+  FNR == 1 && pending { print at; pending = 0 }
+  pending {
+    if ($0 !~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z_][A-Za-z_0-9]*/) print at
+    pending = 0
+  }
+  /#\[cfg\(test\)\]/ { pending = 1; at = FILENAME ":" FNR }
+  END { if (pending) print at }')
+if [ -n "$STRAY" ]; then
+  echo "#[cfg(test)] not directly followed by a mod item at:"
+  echo "$STRAY"
+  exit 1
+fi
 
 echo "== unwrap() gate (library code must use typed errors or expect) =="
 # Count `.unwrap()` in crate library sources outside `#[cfg(test)]`

@@ -23,21 +23,30 @@
 //! | [`shard`] | `lcl-shard` | sharded LOCAL substrate, per-shard fault domains, shard crash recovery |
 //! | [`procshard`] | `lcl-procshard` | process-per-shard substrate: shard supervisor, SIGKILL survival, replay rehydration |
 //!
-//! On top of the re-exports the facade adds two pieces of glue:
+//! Each model has one entrypoint, taking a
+//! [`RunOptions`](faults::RunOptions) (event log, fault plan, budget,
+//! shard count) and returning an [`obs::RunReport`] (outcome plus
+//! execution trace):
 //!
-//! * [`simulation::Simulation`] — one trait over the LOCAL, VOLUME, LCA,
-//!   and PROD-LOCAL simulators, each returning an [`obs::RunReport`]
-//!   (outcome plus execution trace);
-//! * [`LandscapeError`] — one error type with `From` impls for every
-//!   subsystem's typed error, so examples and tools can use `?`.
+//! | Model | Entrypoint |
+//! |---|---|
+//! | LOCAL, view-based (Definition 2.1) | [`local::simulate_with`], [`local::simulate_randomized_with`] |
+//! | LOCAL, message passing | [`local::simulate_sync_with`] |
+//! | VOLUME (Definition 2.9) | [`volume::simulate_with`] |
+//! | LCA | [`volume::simulate_lca_with`] |
+//! | PROD-LOCAL (Section 5) | [`grid::simulate_with`] |
+//!
+//! On top of the re-exports the facade adds [`LandscapeError`]: one
+//! error type with `From` impls for every subsystem's typed error, so
+//! examples and tools can use `?`.
 //!
 //! # Quickstart
 //!
 //! ```
+//! use lcl_landscape::faults::RunOptions;
 //! use lcl_landscape::graph::gen;
 //! use lcl_landscape::lcl::LclProblem;
-//! use lcl_landscape::local::IdAssignment;
-//! use lcl_landscape::simulation::{GraphInstance, LocalSim, Simulation};
+//! use lcl_landscape::local::{simulate_with, IdAssignment};
 //!
 //! let g = gen::cycle(12);
 //! let coloring = LclProblem::parse(
@@ -45,21 +54,25 @@
 //! )?;
 //! assert_eq!(coloring.output_alphabet().len(), 3);
 //!
-//! // Run any model through the unified `Simulation` trait; every run
-//! // returns an `obs::RunReport` carrying the outcome and a trace.
+//! // Every run returns an `obs::RunReport` carrying the outcome and a
+//! // trace; without a fault plan the outcome has no fault records.
 //! let ids = IdAssignment::sequential(12);
 //! let input = lcl_landscape::lcl::uniform_input(&g);
-//! let report = LocalSim::simulate(
+//! let report = simulate_with(
 //!     &lcl_landscape::problems::trivial::ConstantZero,
-//!     GraphInstance::new(&g, &input, &ids),
-//! )?;
-//! assert_eq!(report.outcome.radius, 0);
+//!     &g,
+//!     &input,
+//!     &ids,
+//!     None,
+//!     RunOptions::new(),
+//! );
+//! assert!(report.outcome.faults.is_empty());
+//! assert_eq!(report.outcome.outcome.radius, 0);
 //! assert!(report.trace.fingerprint().starts_with("local/"));
 //! # Ok::<(), lcl_landscape::LandscapeError>(())
 //! ```
 
 pub mod error;
-pub mod simulation;
 
 pub use lcl_classify as classify;
 pub use lcl_core as core;
@@ -77,7 +90,8 @@ pub use lcl_volume as volume;
 pub use lcl;
 
 pub use error::LandscapeError;
-pub use simulation::{
-    simulate_sync_routed, GraphInstance, GridInstance, LcaSim, LocalSim, ProdLocalSim, Simulation,
-    VolumeSim,
-};
+
+/// The Rust snippets of `README.md`, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -2,9 +2,10 @@
 //! algorithm of the suite, run and verified across the graph classes of
 //! the paper.
 
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::{gen, Graph};
 use lcl_landscape::lcl::{uniform_input, verify};
-use lcl_landscape::local::{run_deterministic, run_sync, IdAssignment};
+use lcl_landscape::local::{run_sync, simulate_with, IdAssignment};
 use lcl_landscape::problems::cv::{orientation_inputs, ColeVishkin, Orientation};
 use lcl_landscape::problems::{
     k_coloring, maximal_matching_problem, mis_problem, rake_compress_rounds, two_coloring,
@@ -152,6 +153,8 @@ fn gather_two_coloring_on_bipartite_torus() {
     let input = uniform_input(&g);
     let ids = IdAssignment::random_polynomial(16, 3, 3);
     let alg = TwoColorByAnchor { radius: 8 };
-    let run = run_deterministic(&alg, &g, &input, &ids, None);
+    let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+        .outcome
+        .outcome;
     assert!(verify(&problem, &g, &input, &run.output).is_empty());
 }

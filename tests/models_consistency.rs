@@ -7,14 +7,13 @@ use lcl_landscape::core::speedup_volume::{
     canonical_transcript, run_fooled_volume, Canonicalized, ProbeDecision, TranscriptAlgorithm,
     TranscriptAsVolume,
 };
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::gen;
-use lcl_landscape::grid::{
-    run_prod_local, OrderInvariantProdAlgorithm, OrientedGrid, ProdIds, RankGridView,
-};
+use lcl_landscape::grid::{OrderInvariantProdAlgorithm, OrientedGrid, ProdIds, RankGridView};
 use lcl_landscape::lcl::{uniform_input, verify, OutLabel};
 use lcl_landscape::local::{is_empirically_order_invariant, FnAlgorithm, IdAssignment};
 use lcl_landscape::problems::k_coloring;
-use lcl_landscape::volume::{run_volume, NodeInfo};
+use lcl_landscape::volume::NodeInfo;
 
 /// The 3-coloring of an oriented cycle computed through VOLUME probes
 /// must satisfy the same LCL as the LOCAL-model Cole–Vishkin.
@@ -44,14 +43,17 @@ fn volume_and_local_solve_the_same_coloring() {
 
     // VOLUME (same problem, no orientation inputs needed: ports carry it).
     let vinput = uniform_input(&g);
-    let volume_run = run_volume(
+    let volume_run = lcl_landscape::volume::simulate_with(
         &lcl_bench::volume_algos::CvProbeColoring,
         &g,
         &vinput,
         &ids,
         None,
+        RunOptions::new(),
     )
-    .expect("in budget");
+    .expect("in budget")
+    .outcome
+    .outcome;
     assert!(verify(&problem, &g, &vinput, &volume_run.output).is_empty());
     // The VOLUME complexity is probes, the LOCAL one rounds; both are
     // log*-small.
@@ -86,16 +88,28 @@ fn theorem_41_pipeline_preserves_outputs_and_caps_probes() {
         let g = gen::cycle(n);
         let input = uniform_input(&g);
         let ids = IdAssignment::random_polynomial(n, 3, n as u64 + 5);
-        let plain = run_volume(&TranscriptAsVolume(LocalMinProbe), &g, &input, &ids, None)
-            .expect("in budget");
-        let canon = run_volume(
+        let plain = lcl_landscape::volume::simulate_with(
+            &TranscriptAsVolume(LocalMinProbe),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new(),
+        )
+        .expect("in budget")
+        .outcome
+        .outcome;
+        let canon = lcl_landscape::volume::simulate_with(
             &TranscriptAsVolume(Canonicalized(LocalMinProbe)),
             &g,
             &input,
             &ids,
             None,
+            RunOptions::new(),
         )
-        .expect("in budget");
+        .expect("in budget")
+        .outcome
+        .outcome;
         assert_eq!(plain.output, canon.output, "canonicalization is lossless");
         let fooled = run_fooled_volume(&LocalMinProbe, 8, &g, &input, &ids).expect("in budget");
         assert_eq!(plain.output, fooled.output, "fooling is lossless");
@@ -180,14 +194,26 @@ fn theorem_51_pipeline_is_identifier_free_across_sizes() {
     for side in [3usize, 9, 15] {
         let grid = OrientedGrid::new(&[side, side]);
         let input = uniform_input(grid.graph());
-        let a = run_prod_local(&alg, &grid, &input, &ProdIds::sequential(&grid), None);
-        let b = run_prod_local(
+        let a = lcl_landscape::grid::simulate_with(
+            &alg,
+            &grid,
+            &input,
+            &ProdIds::sequential(&grid),
+            None,
+            RunOptions::new(),
+        )
+        .outcome
+        .outcome;
+        let b = lcl_landscape::grid::simulate_with(
             &alg,
             &grid,
             &input,
             &ProdIds::random_polynomial(&grid, 3, 99),
             None,
-        );
+            RunOptions::new(),
+        )
+        .outcome
+        .outcome;
         assert_eq!(a.output, b.output, "side {side}");
         radii.push(a.radius);
     }

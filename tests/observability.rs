@@ -8,8 +8,9 @@
 //! * round-elimination towers traced under different threading configs
 //!   must produce bit-identical fingerprints (including the memo
 //!   counters, which are defined scheduling-independently);
-//! * all four [`Simulation`] implementations must return non-empty,
-//!   reproducible traces;
+//! * all four model entrypoints (`simulate_*_with`) must return
+//!   non-empty, reproducible traces, and a run without a fault plan
+//!   must be clean;
 //! * the bench registry behind `BENCH_obs.json` must be reproducible;
 //! * for classified cycle problems, the LOCAL rounds reported in the
 //!   trace must respect the classified tier (`O(1)` stays constant,
@@ -20,15 +21,13 @@ use lcl_landscape::classify::{classify_oriented_cycle, synthesize_cycle_traced, 
 use std::sync::Arc;
 
 use lcl_landscape::core::{tree_speedup_logged, ReOptions, ReTower, SpeedupOptions};
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::gen;
 use lcl_landscape::graph::math::log_star;
 use lcl_landscape::local::IdAssignment;
 use lcl_landscape::obs::{Counter, Event, EventLog, Trace};
 use lcl_landscape::problems::catalog::{
     anti_matching, k_coloring, oriented_three_coloring, sinkless_orientation, two_coloring,
-};
-use lcl_landscape::simulation::{
-    GraphInstance, GridInstance, LcaSim, LocalSim, ProdLocalSim, Simulation, VolumeSim,
 };
 use lcl_landscape::volume::lca::VolumeAsLca;
 
@@ -156,8 +155,9 @@ fn cost_models_bit_identical_across_thread_counts() {
     assert_eq!(models[0], models[2], "1 vs 8 worker threads");
 }
 
-/// Each of the four models, driven twice through the `Simulation` trait
-/// on the same instance, must return non-empty identical traces.
+/// Each of the four models, driven twice through its `simulate_*_with`
+/// entrypoint on the same instance, must return non-empty identical
+/// traces; without a fault plan every run is clean (no fault records).
 #[test]
 fn all_four_simulations_trace_deterministically() {
     let g = gen::cycle(64);
@@ -165,41 +165,60 @@ fn all_four_simulations_trace_deterministically() {
     let ids = IdAssignment::random_polynomial(64, 3, 11);
 
     let local = || {
-        LocalSim::simulate(
+        lcl_landscape::local::simulate_with(
             &lcl_landscape::problems::trivial::MaxDegree2Hop,
-            GraphInstance::new(&g, &input, &ids),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new(),
         )
     };
-    let a = local().expect("LOCAL is infallible");
-    let b = local().expect("LOCAL is infallible");
+    let (a, b) = (local(), local());
+    assert!(
+        a.outcome.faults.is_empty(),
+        "a plan-free LOCAL run is clean"
+    );
     assert!(!a.trace.is_empty());
     assert_eq!(a.trace.fingerprint(), b.trace.fingerprint());
     assert_eq!(a.trace.root().get(Counter::Nodes), Some(64));
 
     let volume = || {
-        VolumeSim::simulate(
+        lcl_landscape::volume::simulate_with(
             &lcl_bench::volume_algos::ConstProbe,
-            GraphInstance::new(&g, &input, &ids),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new(),
         )
     };
     let a = volume().expect("in budget");
     let b = volume().expect("in budget");
+    assert!(
+        a.outcome.faults.is_empty(),
+        "a plan-free VOLUME run is clean"
+    );
     assert!(!a.trace.is_empty());
     assert_eq!(a.trace.fingerprint(), b.trace.fingerprint());
     assert_eq!(
         a.trace.root().get(Counter::MaxProbes),
-        Some(a.outcome.max_probes as u64)
+        Some(a.outcome.outcome.max_probes as u64)
     );
 
     let lca_ids = IdAssignment::from_vec((1..=64).collect());
     let lca = || {
-        LcaSim::simulate(
+        lcl_landscape::volume::simulate_lca_with(
             &VolumeAsLca(lcl_bench::volume_algos::ConstProbe),
-            GraphInstance::new(&g, &input, &lca_ids),
+            &g,
+            &input,
+            &lca_ids,
+            RunOptions::new(),
         )
     };
     let a = lca().expect("in budget");
     let b = lca().expect("in budget");
+    assert!(a.outcome.faults.is_empty(), "a plan-free LCA run is clean");
     assert!(!a.trace.is_empty());
     assert_eq!(a.trace.fingerprint(), b.trace.fingerprint());
     assert!(a.trace.fingerprint().starts_with("lca/"));
@@ -212,9 +231,14 @@ fn all_four_simulations_trace_deterministically() {
         |_n| 1,
         |_view| vec![OutLabel(0); 4],
     );
-    let prod = || ProdLocalSim::simulate(&pattern, GridInstance::new(&grid, &ginput, &gids));
-    let a = prod().expect("PROD-LOCAL is infallible");
-    let b = prod().expect("PROD-LOCAL is infallible");
+    let prod = || {
+        lcl_landscape::grid::simulate_with(&pattern, &grid, &ginput, &gids, None, RunOptions::new())
+    };
+    let (a, b) = (prod(), prod());
+    assert!(
+        a.outcome.faults.is_empty(),
+        "a plan-free PROD-LOCAL run is clean"
+    );
     assert!(!a.trace.is_empty());
     assert_eq!(a.trace.fingerprint(), b.trace.fingerprint());
     assert_eq!(a.trace.root().get(Counter::ViewNodes), Some(36 * 9));
@@ -261,8 +285,8 @@ fn classified_tiers_bound_reported_rounds() {
             let g = gen::cycle(n);
             let input = lcl::uniform_input(&g);
             let ids = IdAssignment::random_polynomial(n, 3, n as u64);
-            let run = LocalSim::simulate(alg, GraphInstance::new(&g, &input, &ids))
-                .expect("LOCAL is infallible");
+            let run =
+                lcl_landscape::local::simulate_with(alg, &g, &input, &ids, None, RunOptions::new());
             let rounds = run
                 .trace
                 .root()

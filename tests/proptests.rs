@@ -13,10 +13,11 @@ use lcl_rng::SmallRng;
 
 use lcl_landscape::core::speedup_trees::brute_force_solvable;
 use lcl_landscape::core::zero_round::{decide_zero_round, ZeroRoundOptions, ZeroRoundResult};
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::{gen, NodeId};
 use lcl_landscape::lcl::gen::{random_problem, RandomProblemSpec};
 use lcl_landscape::lcl::{uniform_input, verify, LclProblem, OutLabel, Problem};
-use lcl_landscape::local::{run_deterministic, FnAlgorithm, IdAssignment};
+use lcl_landscape::local::{simulate_with, FnAlgorithm, IdAssignment};
 
 /// A deterministic case stream per test (salted by name so tests don't
 /// share cases).
@@ -119,7 +120,9 @@ fn zero_round_tables_are_sound() {
                 },
             );
             let ids = IdAssignment::sequential(24);
-            let run = run_deterministic(&alg, &g, &input, &ids, None);
+            let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+                .outcome
+                .outcome;
             let violations = verify(&p, &g, &input, &run.output);
             assert!(
                 violations.is_empty(),
@@ -199,7 +202,9 @@ fn check_synthesized_cycle_algorithm_is_sound(seed: u64, n: usize) {
         let g = gen::cycle(n);
         let input = uniform_input(&g);
         let ids = IdAssignment::random_polynomial(g.node_count(), 3, seed);
-        let run = run_deterministic(&alg, &g, &input, &ids, None);
+        let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         let violations = verify(&p, &g, &input, &run.output);
         assert!(
             violations.is_empty(),
@@ -247,7 +252,9 @@ fn check_synthesized_path_algorithm_is_sound(seed: u64, n: usize) {
         let g = gen::path(n);
         let input = uniform_input(&g);
         let ids = IdAssignment::random_polynomial(n, 3, seed + 1);
-        let run = run_deterministic(&alg, &g, &input, &ids, None);
+        let run = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
         let violations = verify(&p, &g, &input, &run.output);
         assert!(
             violations.is_empty(),

@@ -79,52 +79,67 @@ fn lifted_e1_matches_unsharded_across_shards_and_threads() {
     }
 }
 
+/// `opts` carrying `plan` when there is one.
+fn under_plan<'a>(opts: RunOptions<'a>, plan: Option<&'a FaultPlan>) -> RunOptions<'a> {
+    match plan {
+        Some(plan) => opts.faults(plan),
+        None => opts,
+    }
+}
+
 /// Node-level fault plans (crash-stops, injected panics, an id
 /// permutation) degrade identically on both substrates: same outcome,
 /// same fault list in the same order, same event-derived cost model.
+/// The plan-free run is the first input: clean on both substrates.
 #[test]
 fn node_fault_plans_degrade_bit_identically() {
     let g = gen::path(48);
     let input = orientation_inputs(&g, Orientation::Path);
     let ids = ids_for(&g, 11);
-    let plan = FaultPlan::new(23)
+    let faulty = FaultPlan::new(23)
         .with(Fault::Crash { node: 5, round: 1 })
         .with(Fault::Crash { node: 31, round: 0 })
         .with(Fault::PanicNode { node: 17 })
         .with_permuted_ids();
-    let base_log = EventLog::new(4096);
-    let baseline = simulate_sync_with(
-        &ColeVishkin,
-        &g,
-        &input,
-        &ids,
-        None,
-        24,
-        RunOptions::new().faults(&plan).events(&base_log),
-    );
-    assert!(baseline.outcome.is_degraded(), "the plan must bite");
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let log = EventLog::new(4096);
-            let run = simulate_sharded_with(
-                &ColeVishkin,
-                &g,
-                &input,
-                &ids,
-                None,
-                24,
-                threads,
-                RunOptions::new().faults(&plan).sharded(shards).events(&log),
-            );
-            assert_eq!(
-                run.outcome, baseline.outcome,
-                "shards={shards} threads={threads}"
-            );
-            assert_eq!(
-                log.cost_model(),
-                base_log.cost_model(),
-                "shards={shards} threads={threads}: cost models must agree"
-            );
+    for plan in [None, Some(&faulty)] {
+        let base_log = EventLog::new(4096);
+        let baseline = simulate_sync_with(
+            &ColeVishkin,
+            &g,
+            &input,
+            &ids,
+            None,
+            24,
+            under_plan(RunOptions::new().events(&base_log), plan),
+        );
+        assert_eq!(
+            baseline.outcome.is_degraded(),
+            plan.is_some(),
+            "a plan must bite; no plan must stay clean"
+        );
+        for shards in SHARD_COUNTS {
+            for threads in THREAD_COUNTS {
+                let log = EventLog::new(4096);
+                let run = simulate_sharded_with(
+                    &ColeVishkin,
+                    &g,
+                    &input,
+                    &ids,
+                    None,
+                    24,
+                    threads,
+                    under_plan(RunOptions::new().sharded(shards).events(&log), plan),
+                );
+                assert_eq!(
+                    run.outcome, baseline.outcome,
+                    "shards={shards} threads={threads}"
+                );
+                assert_eq!(
+                    log.cost_model(),
+                    base_log.cost_model(),
+                    "shards={shards} threads={threads}: cost models must agree"
+                );
+            }
         }
     }
 }
