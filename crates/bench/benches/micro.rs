@@ -10,7 +10,7 @@ use lcl_core::zero_round::ZeroRoundOptions;
 use lcl_core::{decide_zero_round, ReOptions, ReTower};
 use lcl_faults::RunOptions;
 use lcl_graph::{gen, NodeId};
-use lcl_local::{run_sync, IdAssignment};
+use lcl_local::{simulate_sync_with, IdAssignment};
 use lcl_problems::cv::{orientation_inputs, ColeVishkin, Orientation};
 use lcl_problems::{anti_matching, k_coloring};
 
@@ -40,7 +40,16 @@ fn bench_cole_vishkin() {
     let ids = IdAssignment::random_polynomial(1024, 3, 7);
     let id_vec: Vec<u64> = ids.iter().collect();
     bench_function("cole_vishkin_cycle_1024", || {
-        run_sync(&ColeVishkin, &g, &input, &id_vec, None, 100).rounds
+        let run = simulate_sync_with(
+            &ColeVishkin,
+            &g,
+            &input,
+            &id_vec,
+            None,
+            100,
+            RunOptions::new(),
+        );
+        run.outcome.outcome.rounds
     });
 }
 
@@ -65,9 +74,12 @@ fn bench_zero_round() {
 fn bench_synthesize_cycle() {
     let p = k_coloring(3, 2);
     bench_function("synthesize_cycle_3coloring", || {
-        lcl_classify::synthesize_cycle(&p).unwrap().is_some()
+        lcl_classify::synthesize_cycle(&p)
+            .unwrap()
+            .outcome
+            .is_some()
     });
-    let alg = lcl_classify::synthesize_cycle(&p).unwrap().unwrap();
+    let alg = lcl_classify::synthesize_cycle(&p).unwrap().outcome.unwrap();
     let g = gen::cycle(512);
     let input = lcl::uniform_input(&g);
     let ids = IdAssignment::random_polynomial(512, 3, 5);

@@ -6,7 +6,7 @@ use lcl_faults::RunOptions;
 use lcl_graph::math::{log2_floor, log_log_star, log_star};
 use lcl_graph::{gen, NodeId};
 use lcl_grid::OrientedGrid;
-use lcl_local::{minimal_solving_radius, run_sync, IdAssignment};
+use lcl_local::{minimal_solving_radius, simulate_sync_with, IdAssignment};
 use lcl_problems::cv::{orientation_inputs, ColeVishkin, Orientation};
 use lcl_problems::{
     anti_matching, rake_compress_rounds, shortcut_path, two_coloring, DeltaPlusOne,
@@ -54,21 +54,27 @@ pub fn trees() -> Table {
         let tree = gen::random_tree(actual.min(4096), 3, u64::from(exp));
         let input = lcl::uniform_input(&tree);
         let ids: Vec<u64> = (0..tree.node_count() as u64).map(|i| i * 3 + 1).collect();
-        let synth_rounds = run_sync(&alg, &tree, &input, &ids, Some(n), 10).rounds;
+        let synth =
+            simulate_sync_with(&alg, &tree, &input, &ids, Some(n), 10, RunOptions::new()).outcome;
+        assert!(synth.faults.is_empty(), "why: synthesized algorithms halt");
+        let synth_rounds = synth.outcome.rounds;
 
         // Θ(log* n): Cole–Vishkin on an oriented path.
         let path = gen::path(actual.min(1 << 12));
         let cv_input = orientation_inputs(&path, Orientation::Path);
         let cv_ids = IdAssignment::random_polynomial(path.node_count(), 3, u64::from(exp));
-        let cv_rounds = run_sync(
+        let cv = simulate_sync_with(
             &ColeVishkin,
             &path,
             &cv_input,
             &cv_ids.iter().collect::<Vec<_>>(),
             Some(n),
             100,
+            RunOptions::new(),
         )
-        .rounds;
+        .outcome;
+        assert!(cv.faults.is_empty(), "why: Cole–Vishkin halts");
+        let cv_rounds = cv.outcome.rounds;
 
         // Θ(log* n) with a Δ-dependent constant: Δ+1 coloring (Δ = 2 to
         // keep the additive constant readable).
@@ -287,7 +293,10 @@ pub fn tree_panel_shape_holds() -> bool {
         let tree = gen::random_tree(n, 3, 5);
         let input = lcl::uniform_input(&tree);
         let ids: Vec<u64> = (0..n as u64).collect();
-        rounds.push(run_sync(&alg, &tree, &input, &ids, None, 10).rounds);
+        let run =
+            simulate_sync_with(&alg, &tree, &input, &ids, None, 10, RunOptions::new()).outcome;
+        assert!(run.faults.is_empty(), "why: synthesized algorithms halt");
+        rounds.push(run.outcome.rounds);
     }
     rounds[0] == rounds[1] && rounds[0] <= 2 && {
         // Global: radius grows with n.

@@ -11,7 +11,7 @@ use lcl_core::{
 use lcl_faults::RunOptions;
 use lcl_graph::gen;
 use lcl_grid::{OrientedGrid, ProdIds, RankGridView};
-use lcl_local::{run_sync, IdAssignment};
+use lcl_local::{simulate_sync_with, IdAssignment};
 use lcl_problems::{
     anti_matching, free_problem, k_coloring, maximal_matching_problem, mis_problem,
     sinkless_orientation, two_coloring,
@@ -46,8 +46,11 @@ pub fn speedup_trees() -> Table {
                     let g = gen::random_forest(40, 4, 3, seed);
                     let input = lcl::uniform_input(&g);
                     let ids: Vec<u64> = (0..g.node_count() as u64).map(|i| i * 13 + seed).collect();
-                    let run = run_sync(&alg, &g, &input, &ids, None, 10);
-                    ok &= lcl::verify(problem, &g, &input, &run.output).is_empty();
+                    let run =
+                        simulate_sync_with(&alg, &g, &input, &ids, None, 10, RunOptions::new())
+                            .outcome;
+                    assert!(run.faults.is_empty(), "why: synthesized algorithms halt");
+                    ok &= lcl::verify(problem, &g, &input, &run.outcome.output).is_empty();
                 }
                 table.row(cells!(
                     problem.problem_name(),
@@ -326,7 +329,7 @@ pub fn landscape_paths() -> Table {
     for p in &battery {
         let cycle = classify_oriented_cycle(p);
         let path = classify_oriented_path(p);
-        let synthesized = match synthesize_cycle(p) {
+        let synthesized = match synthesize_cycle(p).map(|report| report.outcome) {
             Ok(Some(alg)) => {
                 let g = gen::cycle(64);
                 let input = lcl::uniform_input(&g);
@@ -423,7 +426,9 @@ pub fn high_girth_transfer() -> Table {
         };
         let input = lcl::uniform_input(&g);
         let ids: Vec<u64> = (0..n as u64).map(|i| i * 17 + 3).collect();
-        let run = run_sync(&alg, &g, &input, &ids, None, 10);
+        let run = simulate_sync_with(&alg, &g, &input, &ids, None, 10, RunOptions::new()).outcome;
+        assert!(run.faults.is_empty(), "why: synthesized algorithms halt");
+        let run = run.outcome;
         let valid = lcl::verify(&problem, &g, &input, &run.output).is_empty();
         table.row(cells!(
             n,
@@ -505,7 +510,7 @@ pub fn lemma33_cases() -> Table {
 /// orientation-free algorithms of the suite populate the three conjectured
 /// regimes; no intermediate behavior appears (evidence, not proof).
 pub fn unoriented_grids() -> Table {
-    use lcl_local::{minimal_solving_radius, run_sync, IdAssignment};
+    use lcl_local::{minimal_solving_radius, simulate_sync_with, IdAssignment};
     use lcl_problems::{DeltaPlusOne, TwoColorByAnchor};
 
     let mut table = Table::new(
@@ -531,16 +536,19 @@ pub fn unoriented_grids() -> Table {
         // O(1): radius-2 algorithm, by definition.
         let o1 = 2u32;
         // Θ(log* n): (Δ+1)-coloring needs no orientation.
-        let run = run_sync(
+        let run = simulate_sync_with(
             &DeltaPlusOne { delta: 4 },
             &g,
             &input,
             &ids.iter().collect::<Vec<_>>(),
             None,
             1_000_000,
-        );
+            RunOptions::new(),
+        )
+        .outcome;
+        assert!(run.faults.is_empty(), "why: (Δ+1)-coloring halts");
         let problem = k_coloring(5, 4);
-        assert!(lcl::verify(&problem, &g, &input, &run.output).is_empty());
+        assert!(lcl::verify(&problem, &g, &input, &run.outcome.output).is_empty());
         // Θ(√n): 2-coloring by gathering (both families are bipartite:
         // even tori and all open grids).
         let radius = if n <= 170 {
@@ -558,7 +566,7 @@ pub fn unoriented_grids() -> Table {
             n,
             lcl_graph::math::log_star(n as u64),
             o1,
-            run.rounds,
+            run.outcome.rounds,
             radius
         ));
     }

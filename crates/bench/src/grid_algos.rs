@@ -225,16 +225,19 @@ pub fn run_torus_coloring(grid: &OrientedGrid, seed: u64) -> (u32, bool) {
     let problem = lcl_problems::k_coloring(2 * d + 1, (2 * d) as u8);
     let input = lcl::uniform_input(grid.graph());
     let ids = lcl_local::IdAssignment::random_polynomial(grid.node_count(), 3, seed);
-    let run = lcl_local::run_sync(
+    let run = lcl_local::simulate_sync_with(
         &TorusColoring { d },
         grid.graph(),
         &input,
         &ids.iter().collect::<Vec<_>>(),
         None,
         1_000_000,
-    );
-    let valid = lcl::verify(&problem, grid.graph(), &input, &run.output).is_empty();
-    (run.rounds, valid)
+        lcl_faults::RunOptions::new(),
+    )
+    .outcome;
+    assert!(run.faults.is_empty(), "why: torus coloring halts");
+    let valid = lcl::verify(&problem, grid.graph(), &input, &run.outcome.output).is_empty();
+    (run.outcome.rounds, valid)
 }
 
 /// Runs [`RowColoring`] on a grid and returns (rounds, valid).
@@ -242,16 +245,19 @@ pub fn run_row_coloring(grid: &OrientedGrid, seed: u64) -> (u32, bool) {
     let problem = row_coloring_problem(grid.dimension_count());
     let input = dim_inputs(grid);
     let ids = lcl_local::IdAssignment::random_polynomial(grid.node_count(), 3, seed);
-    let run = lcl_local::run_sync(
+    let run = lcl_local::simulate_sync_with(
         &RowColoring,
         grid.graph(),
         &input,
         &ids.iter().collect::<Vec<_>>(),
         None,
         10_000,
-    );
-    let valid = lcl::verify(&problem, grid.graph(), &input, &run.output).is_empty();
-    (run.rounds, valid)
+        lcl_faults::RunOptions::new(),
+    )
+    .outcome;
+    assert!(run.faults.is_empty(), "why: row coloring halts");
+    let valid = lcl::verify(&problem, grid.graph(), &input, &run.outcome.output).is_empty();
+    (run.outcome.rounds, valid)
 }
 
 #[cfg(test)]

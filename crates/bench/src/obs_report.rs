@@ -11,7 +11,7 @@
 //! the only nondeterministic quantities in the file.
 
 use lcl::OutLabel;
-use lcl_core::{tree_speedup_traced, SpeedupOptions};
+use lcl_core::{tree_speedup_logged, SpeedupOptions};
 use lcl_faults::RunOptions;
 use lcl_graph::gen;
 use lcl_grid::{FnProdAlgorithm, OrientedGrid};
@@ -30,7 +30,7 @@ use crate::volume_algos::{ConstProbe, CvProbeColoring, TwoColorProbes};
 /// spans) and runs of the synthesized O(1) algorithm and Cole–Vishkin.
 fn collect_trees(reg: &Registry) {
     let anti = anti_matching(3);
-    let report = tree_speedup_traced(&anti, SpeedupOptions::default());
+    let report = tree_speedup_logged(&anti, SpeedupOptions::default(), None);
     let alg = report
         .outcome
         .try_algorithm()

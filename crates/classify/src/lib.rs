@@ -31,5 +31,5 @@ pub use classify::{
     classify_oriented_cycle, classify_oriented_path, solvable_cycle_lengths_up_to,
     solvable_path_lengths_up_to, Classification, ClassifyError, PathClass,
 };
-pub use synthesize::{synthesize_cycle, synthesize_cycle_traced, CycleAlgorithm};
-pub use synthesize_path::{synthesize_path, synthesize_path_traced, PathAlgorithm};
+pub use synthesize::{synthesize_cycle, CycleAlgorithm};
+pub use synthesize_path::{synthesize_path, PathAlgorithm};

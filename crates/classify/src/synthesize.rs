@@ -148,23 +148,15 @@ pub struct LogStarCycle {
 }
 
 /// Synthesizes an algorithm for an (input-independent) LCL on oriented
-/// cycles, if its class admits one (`O(1)` or `Θ(log* n)`); returns
-/// `Ok(None)` for global/finitely-solvable problems.
+/// cycles, if its class admits one (`O(1)` or `Θ(log* n)`); the outcome
+/// is `None` for global/finitely-solvable problems. The report carries
+/// the synthesis trace: automaton states, sparsification levels of a
+/// log* plan, and wall time.
 ///
 /// # Errors
 ///
 /// As [`classify_oriented_cycle`](crate::classify_oriented_cycle).
-pub fn synthesize_cycle(p: &LclProblem) -> Result<Option<CycleAlgorithm>, ClassifyError> {
-    synthesize_cycle_traced(p).map(|report| report.outcome)
-}
-
-/// Like [`synthesize_cycle`], additionally reporting the synthesis trace:
-/// automaton states, sparsification levels of a log* plan, and wall time.
-///
-/// # Errors
-///
-/// As [`synthesize_cycle`].
-pub fn synthesize_cycle_traced(
+pub fn synthesize_cycle(
     p: &LclProblem,
 ) -> Result<RunReport<Option<CycleAlgorithm>>, ClassifyError> {
     use lcl::Problem as _;
@@ -676,7 +668,10 @@ mod tests {
     #[test]
     fn free_problem_synthesizes_constant() {
         let p = free();
-        let alg = synthesize_cycle(&p).unwrap().expect("synthesizable");
+        let alg = synthesize_cycle(&p)
+            .unwrap()
+            .outcome
+            .expect("synthesizable");
         assert!(matches!(alg, CycleAlgorithm::Constant(_)));
         check_on_cycles(&p, &alg, &[3, 7, 64]);
     }
@@ -684,7 +679,10 @@ mod tests {
     #[test]
     fn three_coloring_synthesizes_logstar() {
         let p = three_coloring();
-        let alg = synthesize_cycle(&p).unwrap().expect("synthesizable");
+        let alg = synthesize_cycle(&p)
+            .unwrap()
+            .outcome
+            .expect("synthesizable");
         assert!(matches!(alg, CycleAlgorithm::LogStar(_)));
         check_on_cycles(&p, &alg, &[16, 45, 99, 256]);
     }
@@ -692,7 +690,10 @@ mod tests {
     #[test]
     fn spaced_marking_synthesizes_with_sparsification() {
         let p = spaced_marking();
-        let alg = synthesize_cycle(&p).unwrap().expect("synthesizable");
+        let alg = synthesize_cycle(&p)
+            .unwrap()
+            .outcome
+            .expect("synthesizable");
         let CycleAlgorithm::LogStar(ref l) = alg else {
             panic!("expected log*: {}", alg.describe());
         };
@@ -704,7 +705,7 @@ mod tests {
     #[test]
     fn traced_synthesis_records_states_and_levels() {
         let p = three_coloring();
-        let report = synthesize_cycle_traced(&p).unwrap();
+        let report = synthesize_cycle(&p).unwrap();
         assert!(report.outcome.is_some());
         assert_eq!(report.trace.total(Counter::States), 3);
         assert!(report
@@ -717,13 +718,16 @@ mod tests {
     #[test]
     fn global_problems_do_not_synthesize() {
         let two_col = LclProblem::parse("max-degree: 2\nnodes:\nA*\nB*\nedges:\nA B\n").unwrap();
-        assert!(synthesize_cycle(&two_col).unwrap().is_none());
+        assert!(synthesize_cycle(&two_col).unwrap().outcome.is_none());
     }
 
     #[test]
     fn synthesized_radius_is_log_star_scale() {
         let p = three_coloring();
-        let alg = synthesize_cycle(&p).unwrap().expect("synthesizable");
+        let alg = synthesize_cycle(&p)
+            .unwrap()
+            .outcome
+            .expect("synthesizable");
         let small = alg.radius(1 << 8);
         let large = alg.radius(1 << 60);
         assert!(large >= small);

@@ -72,24 +72,14 @@ impl PathAlgorithm {
 }
 
 /// Synthesizes an algorithm for an (input-independent) LCL on oriented
-/// paths, or `Ok(None)` when the class does not admit one.
+/// paths; the outcome is `None` when the class does not admit one. The
+/// report carries the synthesis trace: automaton states, sparsification
+/// levels of the plan, and wall time.
 ///
 /// # Errors
 ///
 /// As [`classify_oriented_path`](crate::classify_oriented_path).
-pub fn synthesize_path(p: &LclProblem) -> Result<Option<PathAlgorithm>, ClassifyError> {
-    synthesize_path_traced(p).map(|report| report.outcome)
-}
-
-/// Like [`synthesize_path`], additionally reporting the synthesis trace:
-/// automaton states, sparsification levels of the plan, and wall time.
-///
-/// # Errors
-///
-/// As [`synthesize_path`].
-pub fn synthesize_path_traced(
-    p: &LclProblem,
-) -> Result<RunReport<Option<PathAlgorithm>>, ClassifyError> {
+pub fn synthesize_path(p: &LclProblem) -> Result<RunReport<Option<PathAlgorithm>>, ClassifyError> {
     use lcl::Problem as _;
     let mut span = Span::start(format!("classify/synthesize-path/{}", p.name()));
     let outcome = synthesize_path_impl(p, &mut span)?;
@@ -662,21 +652,21 @@ mod tests {
     #[test]
     fn three_coloring_synthesizes_on_paths() {
         let p = lcl_problems::k_coloring(3, 2);
-        let alg = synthesize_path(&p).unwrap().expect("synthesizable");
+        let alg = synthesize_path(&p).unwrap().outcome.expect("synthesizable");
         check_on_paths(&p, &alg, &[2, 3, 5, 9, 40, 200]);
     }
 
     #[test]
     fn mis_synthesizes_on_paths() {
         let p = lcl_problems::mis_problem(2);
-        let alg = synthesize_path(&p).unwrap().expect("synthesizable");
+        let alg = synthesize_path(&p).unwrap().outcome.expect("synthesizable");
         check_on_paths(&p, &alg, &[2, 3, 7, 31, 120]);
     }
 
     #[test]
     fn matching_synthesizes_on_paths() {
         let p = lcl_problems::maximal_matching_problem(2);
-        let alg = synthesize_path(&p).unwrap().expect("synthesizable");
+        let alg = synthesize_path(&p).unwrap().outcome.expect("synthesizable");
         check_on_paths(&p, &alg, &[2, 3, 8, 45, 150]);
     }
 
@@ -685,19 +675,19 @@ mod tests {
         // Unsolvable on paths of ≥ 2 nodes: no flexible start/accept
         // structure survives.
         let p = lcl_problems::sinkless_orientation(2);
-        assert!(synthesize_path(&p).unwrap().is_none());
+        assert!(synthesize_path(&p).unwrap().outcome.is_none());
     }
 
     #[test]
     fn two_coloring_does_not_synthesize() {
         let p = lcl_problems::two_coloring(2);
-        assert!(synthesize_path(&p).unwrap().is_none());
+        assert!(synthesize_path(&p).unwrap().outcome.is_none());
     }
 
     #[test]
     fn radius_is_log_star_scale() {
         let p = lcl_problems::k_coloring(3, 2);
-        let alg = synthesize_path(&p).unwrap().expect("synthesizable");
+        let alg = synthesize_path(&p).unwrap().outcome.expect("synthesizable");
         assert!(alg.radius(1 << 60) <= 4 * alg.radius(1 << 8));
     }
 }

@@ -70,8 +70,6 @@ pub use snapshot::{
     LayerSnapshot, SnapshotError, SpanSnapshot, TableSnapshot, TowerSnapshot, SNAPSHOT_VERSION,
 };
 pub use speedup_local::{run_fooled_local, FooledOrderInvariant};
-pub use speedup_trees::{
-    tree_speedup, tree_speedup_logged, tree_speedup_traced, SpeedupOptions, SpeedupOutcome,
-};
+pub use speedup_trees::{tree_speedup, tree_speedup_logged, SpeedupOptions, SpeedupOutcome};
 pub use tower::{LayerKind, LevelStats, ReError, ReOptions, ReTower, TowerLevel};
 pub use zero_round::{decide_zero_round, ZeroRoundAlgorithm, ZeroRoundResult};

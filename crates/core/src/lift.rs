@@ -213,8 +213,9 @@ mod tests {
     use crate::tower::ReOptions;
     use crate::zero_round::{decide_zero_round, ZeroRoundOptions, ZeroRoundResult};
     use lcl::LclProblem;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
-    use lcl_local::run_sync;
+    use lcl_local::simulate_sync_with;
 
     /// Edge constraint {X, Y} only (every edge bi-chromatic); node
     /// constraints free. Not 0-round solvable, but 1-round solvable — the
@@ -243,7 +244,10 @@ mod tests {
         ] {
             let input = lcl::uniform_input(&g);
             let ids: Vec<u64> = (0..g.node_count() as u64).map(|i| i * 7 + 3).collect();
-            let run = run_sync(&lifted, &g, &input, &ids, None, 10);
+            let run =
+                simulate_sync_with(&lifted, &g, &input, &ids, None, 10, RunOptions::new()).outcome;
+            assert!(run.faults.is_empty(), "synthesized algorithms halt");
+            let run = run.outcome;
             assert_eq!(run.rounds, 1, "{name}");
             let violations = lcl::verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "{name}: {violations:?}");
@@ -263,7 +267,9 @@ mod tests {
         let g = gen::random_tree(10, 3, 1);
         let input = lcl::uniform_input(&g);
         let ids: Vec<u64> = (0..10).collect();
-        let run = run_sync(&lifted, &g, &input, &ids, None, 5);
+        let run = simulate_sync_with(&lifted, &g, &input, &ids, None, 5, RunOptions::new()).outcome;
+        assert!(run.faults.is_empty(), "synthesized algorithms halt");
+        let run = run.outcome;
         assert_eq!(run.rounds, 0);
         assert!(lcl::verify(&p, &g, &input, &run.output).is_empty());
     }

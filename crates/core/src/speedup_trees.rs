@@ -115,17 +115,9 @@ impl SpeedupOutcome {
 /// certificates — the tower's own spans), under a root recording the
 /// `f`-steps explored and, on success, the synthesized round count.
 ///
-/// [`tree_speedup`] forwards here and discards the trace.
-pub fn tree_speedup_traced(
-    problem: &LclProblem,
-    opts: SpeedupOptions,
-) -> RunReport<SpeedupOutcome> {
-    tree_speedup_logged(problem, opts, None)
-}
-
-/// Like [`tree_speedup_traced`], with the tower's event stream — memo
-/// lookups, level completions ([`lcl_obs::Event`]) — recorded into `log`
-/// and carried on the returned report ([`RunReport::events`]).
+/// With a `log`, the tower's event stream — memo lookups, level
+/// completions ([`lcl_obs::Event`]) — is recorded into it and carried on
+/// the returned report ([`RunReport::events`]).
 pub fn tree_speedup_logged(
     problem: &LclProblem,
     opts: SpeedupOptions,
@@ -210,13 +202,11 @@ pub fn tree_speedup_logged(
     }
 }
 
-/// Runs the Theorem 3.10/3.11 synthesis pipeline on `problem`.
-///
-/// Note: superseded by [`tree_speedup_traced`], which additionally
-/// reports the execution trace; this thin wrapper remains for source
-/// compatibility.
+/// Runs the Theorem 3.10/3.11 synthesis pipeline on `problem`: the
+/// outcome of [`tree_speedup_logged`] without a log, its trace dropped.
+/// It stays because the end-to-end benchmark in `perfbench/` links it.
 pub fn tree_speedup(problem: &LclProblem, opts: SpeedupOptions) -> SpeedupOutcome {
-    tree_speedup_traced(problem, opts).outcome
+    tree_speedup_logged(problem, opts, None).outcome
 }
 
 /// The Lemma 3.3 transfer, executable: runs a tree algorithm on a forest
@@ -287,8 +277,9 @@ pub fn brute_force_solvable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
-    use lcl_local::run_sync;
+    use lcl_local::simulate_sync_with;
 
     #[test]
     fn trivial_problem_synthesizes_at_zero_steps() {
@@ -313,7 +304,9 @@ mod tests {
         let g = gen::random_forest(30, 3, 3, 11);
         let input = lcl::uniform_input(&g);
         let ids: Vec<u64> = (0..30u64).map(|i| 997 - i * 13).collect();
-        let run = run_sync(&alg, &g, &input, &ids, None, 5);
+        let run = simulate_sync_with(&alg, &g, &input, &ids, None, 5, RunOptions::new()).outcome;
+        assert!(run.faults.is_empty(), "synthesized algorithms halt");
+        let run = run.outcome;
         assert_eq!(run.rounds, 1);
         assert!(lcl::verify(&p, &g, &input, &run.output).is_empty());
     }
@@ -321,7 +314,7 @@ mod tests {
     #[test]
     fn traced_pipeline_records_level_spans() {
         let p = LclProblem::parse("max-degree: 3\nnodes:\nX* Y*\nedges:\nX Y\n").unwrap();
-        let report = tree_speedup_traced(&p, SpeedupOptions::default());
+        let report = tree_speedup_logged(&p, SpeedupOptions::default(), None);
         assert!(report.outcome.is_constant());
         let trace = &report.trace;
         assert_eq!(trace.total(Counter::Rounds), 1);

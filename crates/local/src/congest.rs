@@ -8,10 +8,13 @@
 //! themselves CONGEST-compatible: the executor reports the maximum message
 //! size actually sent.
 
-use lcl::{HalfEdgeLabeling, InLabel};
+use std::cell::Cell;
+
+use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
+use lcl_faults::{Degraded, RunOptions};
 use lcl_graph::Graph;
 
-use crate::sync::{run_sync_with, SyncAlgorithm, SyncRun};
+use crate::sync::{simulate_sync_with, NodeInit, SyncAlgorithm, SyncRun};
 
 /// Bit-size measurement for message types.
 pub trait MessageBits {
@@ -64,8 +67,9 @@ impl MessageBits for u32 {
 /// A [`SyncRun`] plus bandwidth statistics.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CongestRun {
-    /// The underlying run.
-    pub run: SyncRun,
+    /// The underlying run; a run that exhausts `max_rounds` carries one
+    /// `"no-halt"` fault per unfinished node.
+    pub run: Degraded<SyncRun>,
     /// The largest single message, in bits.
     pub max_message_bits: usize,
     /// Total bits sent over the whole execution.
@@ -80,11 +84,10 @@ impl CongestRun {
     }
 }
 
-/// Runs a [`SyncAlgorithm`] while measuring message sizes.
-///
-/// # Panics
-///
-/// As [`run_sync`](crate::sync::run_sync).
+/// Runs a [`SyncAlgorithm`] through [`simulate_sync_with`] while
+/// measuring message sizes. A run that does not halt within `max_rounds`
+/// degrades to typed `"no-halt"` faults, with the bits of every round it
+/// ran counted.
 pub fn run_congest<A>(
     alg: &A,
     graph: &Graph,
@@ -97,25 +100,67 @@ where
     A: SyncAlgorithm,
     A::Msg: MessageBits,
 {
-    let mut max_message_bits = 0usize;
-    let mut total_bits = 0u64;
-    let run = run_sync_with(alg, graph, input, ids, n_announced, max_rounds, |msg| {
-        let bits = msg.message_bits();
-        max_message_bits = max_message_bits.max(bits);
-        total_bits += bits as u64;
-    });
+    /// Forwards to the wrapped algorithm, metering every message sent.
+    struct Metered<'a, A> {
+        alg: &'a A,
+        max_bits: Cell<usize>,
+        total_bits: Cell<u64>,
+    }
+    impl<A: SyncAlgorithm> SyncAlgorithm for Metered<'_, A>
+    where
+        A::Msg: MessageBits,
+    {
+        type State = A::State;
+        type Msg = A::Msg;
+        fn init(&self, init: &NodeInit) -> A::State {
+            self.alg.init(init)
+        }
+        fn send(&self, state: &A::State, round: u32) -> Vec<A::Msg> {
+            let out = self.alg.send(state, round);
+            for msg in &out {
+                let bits = msg.message_bits();
+                self.max_bits.set(self.max_bits.get().max(bits));
+                self.total_bits.set(self.total_bits.get() + bits as u64);
+            }
+            out
+        }
+        fn receive(&self, state: &mut A::State, inbox: &[A::Msg], round: u32) {
+            self.alg.receive(state, inbox, round);
+        }
+        fn is_done(&self, state: &A::State) -> bool {
+            self.alg.is_done(state)
+        }
+        fn output(&self, state: &A::State) -> Vec<OutLabel> {
+            self.alg.output(state)
+        }
+        fn name(&self) -> &str {
+            self.alg.name()
+        }
+    }
+    let metered = Metered {
+        alg,
+        max_bits: Cell::new(0),
+        total_bits: Cell::new(0),
+    };
+    let report = simulate_sync_with(
+        &metered,
+        graph,
+        input,
+        ids,
+        n_announced,
+        max_rounds,
+        RunOptions::new(),
+    );
     CongestRun {
-        run,
-        max_message_bits,
-        total_bits,
+        run: report.outcome,
+        max_message_bits: metered.max_bits.get(),
+        total_bits: metered.total_bits.get(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::NodeInit;
-    use lcl::OutLabel;
     use lcl_graph::gen;
 
     /// Flood the maximum id for `k` rounds (messages are ids: log n bits).
@@ -167,7 +212,28 @@ mod tests {
         let run = run_congest(&Flood { k: 3 }, &g, &input, &ids, None, 100);
         assert!(run.max_message_bits <= 4); // ids < 16
         assert!(run.is_congest(16, 1));
-        assert_eq!(run.run.rounds, 3);
+        assert!(run.run.faults.is_empty());
+        assert_eq!(run.run.outcome.rounds, 3);
+        assert!(run.total_bits > 0);
+    }
+
+    /// A flood that outlasts `max_rounds` degrades to one typed
+    /// `"no-halt"` fault per node instead of aborting, and its bits are
+    /// still metered for the rounds it ran.
+    #[test]
+    fn runaway_flood_degrades_to_no_halt_faults() {
+        let g = gen::cycle(8);
+        let input = lcl::uniform_input(&g);
+        let ids: Vec<u64> = (0..8).collect();
+        let run = run_congest(&Flood { k: 1000 }, &g, &input, &ids, None, 5);
+        assert_eq!(run.run.outcome.rounds, 5);
+        assert_eq!(run.run.faults.len(), 8);
+        assert!(run
+            .run
+            .faults
+            .iter()
+            .all(|f| f.payload == "did not halt within 5 rounds" && f.round == 5));
+        assert!(run.max_message_bits <= 3); // ids < 8
         assert!(run.total_bits > 0);
     }
 

@@ -503,8 +503,16 @@ mod tests {
         let report =
             simulate_sync_faulted_impl(&Flood { k: 3 }, &g, &input, &ids, None, 100, &plan, None);
         assert!(!report.outcome.is_degraded());
-        let plain = crate::sync::run_sync(&Flood { k: 3 }, &g, &input, &ids, None, 100);
-        assert_eq!(report.outcome.outcome, plain);
+        let plain = crate::sync::simulate_sync_with(
+            &Flood { k: 3 },
+            &g,
+            &input,
+            &ids,
+            None,
+            100,
+            RunOptions::new(),
+        );
+        assert_eq!(report.outcome, plain.outcome);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   with its execution trace.
 //! * [`SyncAlgorithm`] — the equivalent message-passing formulation, for
 //!   naturally iterative algorithms (Cole–Vishkin, rake-and-compress);
-//!   the executor counts the rounds actually used.
+//!   run it with [`simulate_sync_with`], which counts the rounds actually
+//!   used. A run that exhausts its round cap degrades to one typed
+//!   `"no-halt"` fault per unfinished node instead of panicking;
+//!   [`run_congest`] meters its message sizes.
 //! * [`OrderInvariantAlgorithm`] — Definition 2.7: algorithms that only see
 //!   the relative order of identifiers; includes an empirical
 //!   order-invariance checker used by the speed-up theorems.
@@ -69,5 +72,5 @@ pub use run::{
     estimate_local_failure, estimate_local_failure_parallel, simulate_randomized_with,
     simulate_with, FailureEstimate, LocalRun,
 };
-pub use sync::{run_sync, run_sync_with, simulate_sync_with, NodeInit, SyncAlgorithm, SyncRun};
+pub use sync::{simulate_sync_with, NodeInit, SyncAlgorithm, SyncRun};
 pub use view::View;

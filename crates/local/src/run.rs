@@ -249,6 +249,80 @@ impl FailureEstimate {
     }
 }
 
+/// Per-node and per-edge failure counts over a set of trials.
+struct Tally {
+    nodes: Vec<usize>,
+    edges: Vec<usize>,
+    global: usize,
+}
+
+impl Tally {
+    fn new(graph: &Graph) -> Self {
+        Tally {
+            nodes: vec![0; graph.node_count()],
+            edges: vec![0; graph.edge_count()],
+            global: 0,
+        }
+    }
+
+    /// Runs one trial with randomness `seed`, verifies its output, and
+    /// counts each failed node and edge once.
+    fn trial(
+        &mut self,
+        problem: &(impl Problem + ?Sized),
+        alg: &(impl LocalAlgorithm + ?Sized),
+        graph: &Graph,
+        input: &HalfEdgeLabeling<InLabel>,
+        seed: u64,
+    ) {
+        let run =
+            simulate_randomized_with(alg, graph, input, seed, None, RunOptions::new()).outcome;
+        let violations = lcl::verify(problem, graph, input, &run.output);
+        if !violations.is_empty() {
+            self.global += 1;
+        }
+        let mut failed_nodes = std::collections::BTreeSet::new();
+        let mut failed_edges = std::collections::BTreeSet::new();
+        for v in violations {
+            match v {
+                Violation::EdgeConfig { edge } | Violation::EdgeInputMap { edge, .. } => {
+                    failed_edges.insert(edge);
+                }
+                Violation::NodeConfig { node } | Violation::NodeInputMap { node, .. } => {
+                    failed_nodes.insert(node);
+                }
+            }
+        }
+        for node in failed_nodes {
+            self.nodes[node.index()] += 1;
+        }
+        for edge in failed_edges {
+            self.edges[edge.index()] += 1;
+        }
+    }
+
+    /// Adds another tally's counts to this one.
+    fn absorb(&mut self, other: Tally) {
+        for (acc, x) in self.nodes.iter_mut().zip(other.nodes) {
+            *acc += x;
+        }
+        for (acc, x) in self.edges.iter_mut().zip(other.edges) {
+            *acc += x;
+        }
+        self.global += other.global;
+    }
+
+    fn estimate(&self, trials: usize) -> FailureEstimate {
+        let to_freq = |worst: Option<&usize>| worst.map_or(0.0, |&w| w as f64 / trials as f64);
+        FailureEstimate {
+            max_node: to_freq(self.nodes.iter().max()),
+            max_edge: to_freq(self.edges.iter().max()),
+            global: self.global as f64 / trials as f64,
+            trials,
+        }
+    }
+}
+
 /// Estimates the local failure probability of a randomized algorithm by
 /// running it `trials` times with fresh randomness.
 ///
@@ -270,49 +344,11 @@ pub fn estimate_local_failure(
             got: 0,
         });
     }
-    let mut node_failures = vec![0usize; graph.node_count()];
-    let mut edge_failures = vec![0usize; graph.edge_count()];
-    let mut global_failures = 0usize;
+    let mut tally = Tally::new(graph);
     for t in 0..trials {
-        let run = simulate_randomized_with(
-            alg,
-            graph,
-            input,
-            seed.wrapping_add(t as u64),
-            None,
-            RunOptions::new(),
-        )
-        .outcome;
-        let violations = lcl::verify(problem, graph, input, &run.output);
-        if !violations.is_empty() {
-            global_failures += 1;
-        }
-        let mut failed_nodes = std::collections::BTreeSet::new();
-        let mut failed_edges = std::collections::BTreeSet::new();
-        for v in violations {
-            match v {
-                Violation::EdgeConfig { edge } | Violation::EdgeInputMap { edge, .. } => {
-                    failed_edges.insert(edge);
-                }
-                Violation::NodeConfig { node } | Violation::NodeInputMap { node, .. } => {
-                    failed_nodes.insert(node);
-                }
-            }
-        }
-        for node in failed_nodes {
-            node_failures[node.index()] += 1;
-        }
-        for edge in failed_edges {
-            edge_failures[edge.index()] += 1;
-        }
+        tally.trial(problem, alg, graph, input, seed.wrapping_add(t as u64));
     }
-    let to_freq = |worst: Option<&usize>| worst.map_or(0.0, |&w| w as f64 / trials as f64);
-    Ok(FailureEstimate {
-        max_node: to_freq(node_failures.iter().max()),
-        max_edge: to_freq(edge_failures.iter().max()),
-        global: global_failures as f64 / trials as f64,
-        trials,
-    })
+    Ok(tally.estimate(trials))
 }
 
 /// Like [`estimate_local_failure`], but spreads the trials over `threads`
@@ -347,53 +383,17 @@ pub fn estimate_local_failure_parallel(
         });
     }
     let threads = threads.min(trials);
-    // Per-trial failure records, merged after the scope.
-    let results: Vec<(Vec<usize>, Vec<usize>, usize)> = std::thread::scope(|scope| {
+    // Per-thread tallies, merged after the scope.
+    let results: Vec<Tally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 // Chunk t handles trials t, t + threads, t + 2·threads, ...
                 scope.spawn(move || {
-                    let mut node_failures = vec![0usize; graph.node_count()];
-                    let mut edge_failures = vec![0usize; graph.edge_count()];
-                    let mut global_failures = 0usize;
-                    let mut trial = t;
-                    while trial < trials {
-                        let run = simulate_randomized_with(
-                            alg,
-                            graph,
-                            input,
-                            seed.wrapping_add(trial as u64),
-                            None,
-                            RunOptions::new(),
-                        )
-                        .outcome;
-                        let violations = lcl::verify(problem, graph, input, &run.output);
-                        if !violations.is_empty() {
-                            global_failures += 1;
-                        }
-                        let mut failed_nodes = std::collections::BTreeSet::new();
-                        let mut failed_edges = std::collections::BTreeSet::new();
-                        for v in violations {
-                            match v {
-                                Violation::EdgeConfig { edge }
-                                | Violation::EdgeInputMap { edge, .. } => {
-                                    failed_edges.insert(edge);
-                                }
-                                Violation::NodeConfig { node }
-                                | Violation::NodeInputMap { node, .. } => {
-                                    failed_nodes.insert(node);
-                                }
-                            }
-                        }
-                        for node in failed_nodes {
-                            node_failures[node.index()] += 1;
-                        }
-                        for edge in failed_edges {
-                            edge_failures[edge.index()] += 1;
-                        }
-                        trial += threads;
+                    let mut tally = Tally::new(graph);
+                    for trial in (t..trials).step_by(threads) {
+                        tally.trial(problem, alg, graph, input, seed.wrapping_add(trial as u64));
                     }
-                    (node_failures, edge_failures, global_failures)
+                    tally
                 })
             })
             .collect();
@@ -405,25 +405,11 @@ pub fn estimate_local_failure_parallel(
             })
             .collect()
     });
-    let mut node_failures = vec![0usize; graph.node_count()];
-    let mut edge_failures = vec![0usize; graph.edge_count()];
-    let mut global_failures = 0usize;
-    for (nodes, edges, global) in results {
-        for (acc, x) in node_failures.iter_mut().zip(nodes) {
-            *acc += x;
-        }
-        for (acc, x) in edge_failures.iter_mut().zip(edges) {
-            *acc += x;
-        }
-        global_failures += global;
+    let mut tally = Tally::new(graph);
+    for part in results {
+        tally.absorb(part);
     }
-    let to_freq = |worst: Option<&usize>| worst.map_or(0.0, |&w| w as f64 / trials as f64);
-    Ok(FailureEstimate {
-        max_node: to_freq(node_failures.iter().max()),
-        max_edge: to_freq(edge_failures.iter().max()),
-        global: global_failures as f64 / trials as f64,
-        trials,
-    })
+    Ok(tally.estimate(trials))
 }
 
 #[cfg(test)]

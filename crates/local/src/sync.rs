@@ -74,29 +74,10 @@ pub struct SyncRun {
     pub rounds: u32,
 }
 
-/// Runs a [`SyncAlgorithm`] to completion.
-///
-/// `ids[v]` provides each node's identifier (use random values for
-/// randomized algorithms). The run aborts after `max_rounds` rounds.
-///
-/// # Panics
-///
-/// Panics if the algorithm does not halt within `max_rounds` rounds or
-/// sends the wrong number of messages.
-pub fn run_sync<A: SyncAlgorithm>(
-    alg: &A,
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &[u64],
-    n_announced: Option<usize>,
-    max_rounds: u32,
-) -> SyncRun {
-    run_sync_with(alg, graph, input, ids, n_announced, max_rounds, |_| {})
-}
-
 /// Runs a [`SyncAlgorithm`] under [`RunOptions`](lcl_faults::RunOptions).
 ///
-/// Dispatch over the option axes:
+/// `ids[v]` provides each node's identifier (use random values for
+/// randomized algorithms). Dispatch over the option axes:
 ///
 /// * a **fault plan** routes through the degrading executor of
 ///   [`crate::faulted`] (crash-stops, panic isolation, no-halt
@@ -112,7 +93,8 @@ pub fn run_sync<A: SyncAlgorithm>(
 /// executor. A halting run is [`Degraded::clean`]; one that exhausts
 /// `max_rounds` records one `"no-halt"` fault per unfinished node, the
 /// same outcome and fault list as the run under
-/// `Budget::unlimited().with_max_rounds(max_rounds)`.
+/// `Budget::unlimited().with_max_rounds(max_rounds)`. A caller that
+/// reads `rounds` of a run that must halt checks `faults.is_empty()`.
 ///
 /// # Panics
 ///
@@ -143,7 +125,7 @@ pub fn simulate_sync_with<A: SyncAlgorithm>(
             plan,
             opts.event_log(),
         ),
-        None => simulate_sync_impl(
+        None => run_sync_core(
             alg,
             graph,
             input,
@@ -155,7 +137,10 @@ pub fn simulate_sync_with<A: SyncAlgorithm>(
     }
 }
 
-pub(crate) fn simulate_sync_impl<A: SyncAlgorithm>(
+/// The plain synchronous loop, traced under `local/sync/<alg>`.
+/// Exhausting `max_rounds` gives every unfinished node one `"no-halt"`
+/// fault (mirrored into `log`), and the run still produces its output.
+fn run_sync_core<A: SyncAlgorithm>(
     alg: &A,
     graph: &Graph,
     input: &HalfEdgeLabeling<InLabel>,
@@ -164,82 +149,8 @@ pub(crate) fn simulate_sync_impl<A: SyncAlgorithm>(
     max_rounds: u32,
     log: Option<&EventLog>,
 ) -> RunReport<Degraded<SyncRun>> {
-    let mut span = Span::start(format!("local/sync/{}", alg.name()));
-    let mut messages = 0u64;
-    let (run, faults) = run_sync_core(
-        alg,
-        graph,
-        input,
-        ids,
-        n_announced,
-        max_rounds,
-        |_| {
-            messages += 1;
-        },
-        log,
-        true,
-    );
-    span.set(Counter::Nodes, graph.node_count() as u64);
-    span.set(Counter::Edges, graph.edge_count() as u64);
-    span.set(Counter::Rounds, u64::from(run.rounds));
-    span.set(Counter::Messages, messages);
-    if !faults.is_empty() {
-        span.set(Counter::Faults, faults.len() as u64);
-    }
-    let degraded = Degraded {
-        outcome: run,
-        faults,
-    };
-    RunReport::new(degraded, Trace::new(span.finish()))
-}
-
-/// Like [`run_sync`], additionally invoking `observe` on every message
-/// sent — the hook behind the CONGEST bandwidth accounting of
-/// [`congest`](crate::congest).
-///
-/// # Panics
-///
-/// As [`run_sync`].
-pub fn run_sync_with<A: SyncAlgorithm>(
-    alg: &A,
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &[u64],
-    n_announced: Option<usize>,
-    max_rounds: u32,
-    observe: impl FnMut(&A::Msg),
-) -> SyncRun {
-    run_sync_core(
-        alg,
-        graph,
-        input,
-        ids,
-        n_announced,
-        max_rounds,
-        observe,
-        None,
-        false,
-    )
-    .0
-}
-
-/// The plain synchronous loop. Exhausting `max_rounds` panics unless
-/// `degrade` is set, in which case every unfinished node gets one
-/// `"no-halt"` fault (mirrored into `log`) and the run still produces
-/// its output.
-#[allow(clippy::too_many_arguments)]
-fn run_sync_core<A: SyncAlgorithm>(
-    alg: &A,
-    graph: &Graph,
-    input: &HalfEdgeLabeling<InLabel>,
-    ids: &[u64],
-    n_announced: Option<usize>,
-    max_rounds: u32,
-    mut observe: impl FnMut(&A::Msg),
-    log: Option<&EventLog>,
-    degrade: bool,
-) -> (SyncRun, Vec<NodeFault>) {
     assert_eq!(ids.len(), graph.node_count(), "ids cover the graph");
+    let mut span = Span::start(format!("local/sync/{}", alg.name()));
     let n = n_announced.unwrap_or_else(|| graph.node_count());
 
     let mut states: Vec<A::State> = graph
@@ -257,16 +168,12 @@ fn run_sync_core<A: SyncAlgorithm>(
 
     let mut faults = Vec::new();
     let mut rounds = 0u32;
+    let mut messages = 0u64;
     loop {
         if states.iter().all(|s| alg.is_done(s)) {
             break;
         }
         if rounds >= max_rounds {
-            assert!(
-                degrade,
-                "algorithm {} did not halt within {max_rounds} rounds",
-                alg.name()
-            );
             faults = no_halt_faults(alg, &states, rounds, max_rounds, log);
             break;
         }
@@ -286,9 +193,6 @@ fn run_sync_core<A: SyncAlgorithm>(
                     "algorithm {} must send one message per port",
                     alg.name()
                 );
-                for msg in &out {
-                    observe(msg);
-                }
                 out
             })
             .collect();
@@ -305,10 +209,12 @@ fn run_sync_core<A: SyncAlgorithm>(
                 .collect();
             alg.receive(&mut states[v.index()], &inbox, rounds);
         }
+        let sent: u64 = outboxes.iter().map(|o| o.len() as u64).sum();
+        messages += sent;
         if let Some(log) = log {
             log.record(Event::RoundEnd {
                 round: u64::from(rounds),
-                messages: outboxes.iter().map(|o| o.len() as u64).sum(),
+                messages: sent,
             });
         }
         rounds += 1;
@@ -324,7 +230,18 @@ fn run_sync_core<A: SyncAlgorithm>(
         );
         out
     });
-    (SyncRun { output, rounds }, faults)
+    span.set(Counter::Nodes, graph.node_count() as u64);
+    span.set(Counter::Edges, graph.edge_count() as u64);
+    span.set(Counter::Rounds, u64::from(rounds));
+    span.set(Counter::Messages, messages);
+    if !faults.is_empty() {
+        span.set(Counter::Faults, faults.len() as u64);
+    }
+    let degraded = Degraded {
+        outcome: SyncRun { output, rounds },
+        faults,
+    };
+    RunReport::new(degraded, Trace::new(span.finish()))
 }
 
 /// One `"no-halt"` fault per unfinished node, in node order, each
@@ -355,7 +272,19 @@ fn no_halt_faults<A: SyncAlgorithm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
+
+    /// A plain run that must halt within 100 rounds.
+    fn halting(alg: &FloodMax, g: &Graph, ids: &[u64]) -> SyncRun {
+        let input = lcl::uniform_input(g);
+        let report = simulate_sync_with(alg, g, &input, ids, None, 100, RunOptions::new());
+        assert!(
+            report.outcome.faults.is_empty(),
+            "FloodMax halts after k rounds"
+        );
+        report.outcome.outcome
+    }
 
     /// Every node learns the maximum id within distance `k` by flooding
     /// for `k` rounds, then outputs 1 iff it holds the maximum.
@@ -413,18 +342,16 @@ mod tests {
     #[test]
     fn flood_max_uses_exactly_k_rounds() {
         let g = gen::path(8);
-        let input = lcl::uniform_input(&g);
         let ids: Vec<u64> = (0..8).collect();
-        let run = run_sync(&FloodMax { k: 3 }, &g, &input, &ids, None, 100);
+        let run = halting(&FloodMax { k: 3 }, &g, &ids);
         assert_eq!(run.rounds, 3);
     }
 
     #[test]
     fn flood_max_finds_global_max_with_enough_rounds() {
         let g = gen::path(6);
-        let input = lcl::uniform_input(&g);
         let ids = vec![3, 9, 1, 4, 0, 2];
-        let run = run_sync(&FloodMax { k: 6 }, &g, &input, &ids, None, 100);
+        let run = halting(&FloodMax { k: 6 }, &g, &ids);
         // Only node 1 (id 9) outputs 1.
         for v in g.nodes() {
             let h = g.half_edge(v, 0);
@@ -436,9 +363,8 @@ mod tests {
     #[test]
     fn zero_round_algorithm_uses_zero_rounds() {
         let g = gen::cycle(5);
-        let input = lcl::uniform_input(&g);
         let ids: Vec<u64> = (0..5).collect();
-        let run = run_sync(&FloodMax { k: 0 }, &g, &input, &ids, None, 100);
+        let run = halting(&FloodMax { k: 0 }, &g, &ids);
         assert_eq!(run.rounds, 0);
     }
 
@@ -447,7 +373,15 @@ mod tests {
         let g = gen::path(8);
         let input = lcl::uniform_input(&g);
         let ids: Vec<u64> = (0..8).collect();
-        let report = simulate_sync_impl(&FloodMax { k: 3 }, &g, &input, &ids, None, 100, None);
+        let report = simulate_sync_with(
+            &FloodMax { k: 3 },
+            &g,
+            &input,
+            &ids,
+            None,
+            100,
+            RunOptions::new(),
+        );
         assert_eq!(report.outcome.outcome.rounds, 3);
         assert_eq!(report.trace.total(Counter::Rounds), 3);
         // 8-path: 14 port messages per round, 3 rounds.
@@ -461,8 +395,15 @@ mod tests {
         let input = lcl::uniform_input(&g);
         let ids: Vec<u64> = (0..8).collect();
         let log = EventLog::new(64);
-        let report =
-            simulate_sync_impl(&FloodMax { k: 3 }, &g, &input, &ids, None, 100, Some(&log));
+        let report = simulate_sync_with(
+            &FloodMax { k: 3 },
+            &g,
+            &input,
+            &ids,
+            None,
+            100,
+            RunOptions::new().events(&log),
+        );
         assert_eq!(report.outcome.outcome.rounds, 3);
         let events = log.events();
         assert_eq!(events.len(), 6); // start + end per round
@@ -475,13 +416,20 @@ mod tests {
             }
         );
         // The logged run's trace is identical to the unlogged one.
-        let plain = simulate_sync_impl(&FloodMax { k: 3 }, &g, &input, &ids, None, 100, None);
+        let plain = simulate_sync_with(
+            &FloodMax { k: 3 },
+            &g,
+            &input,
+            &ids,
+            None,
+            100,
+            RunOptions::new(),
+        );
         assert_eq!(report.trace.fingerprint(), plain.trace.fingerprint());
     }
 
     #[test]
     fn cost_model_matches_trace_counters() {
-        use lcl_faults::RunOptions;
         use lcl_obs::CostKind;
 
         let g = gen::path(8);
@@ -516,7 +464,7 @@ mod tests {
     /// runs' traces as they were.
     #[test]
     fn plain_no_halt_is_the_typed_budget_degradation() {
-        use lcl_faults::{Budget, RunOptions};
+        use lcl_faults::Budget;
         use std::collections::BTreeSet;
 
         let g = gen::path(3);
@@ -574,14 +522,5 @@ mod tests {
             Counter::Edges,
         ];
         assert_eq!(counters, BTreeSet::from(expected));
-    }
-
-    #[test]
-    #[should_panic(expected = "did not halt")]
-    fn runaway_algorithm_is_stopped() {
-        let g = gen::path(3);
-        let input = lcl::uniform_input(&g);
-        let ids: Vec<u64> = (0..3).collect();
-        let _ = run_sync(&FloodMax { k: 1000 }, &g, &input, &ids, None, 5);
     }
 }

@@ -74,7 +74,7 @@ pub fn cv_iteration_count(initial_bits: u32) -> u32 {
 
 /// The Cole–Vishkin 3-coloring algorithm for oriented paths/cycles.
 ///
-/// Run with [`lcl_local::run_sync`]; the inputs must be the orientation
+/// Run with [`lcl_local::simulate_sync_with`]; the inputs must be the orientation
 /// labeling (see [`orientation_inputs`]) and identifiers come from a
 /// polynomial range. The measured round count is
 /// `cv_iteration_count(3 log n) + 3 = log* n + O(1)`.
@@ -162,8 +162,9 @@ impl SyncAlgorithm for ColeVishkin {
 mod tests {
     use super::*;
     use crate::catalog::oriented_three_coloring;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
-    use lcl_local::{run_sync, IdAssignment};
+    use lcl_local::{simulate_sync_with, IdAssignment};
 
     #[test]
     fn cv_step_preserves_properness() {
@@ -201,14 +202,18 @@ mod tests {
             let g = gen::cycle(n);
             let input = orientation_inputs(&g, Orientation::Cycle);
             let ids = IdAssignment::random_polynomial(n, 3, n as u64);
-            let run = run_sync(
+            let run = simulate_sync_with(
                 &ColeVishkin,
                 &g,
                 &input,
                 &ids.iter().collect::<Vec<_>>(),
                 None,
                 100,
-            );
+                RunOptions::new(),
+            )
+            .outcome;
+            assert!(run.faults.is_empty(), "Cole–Vishkin halts");
+            let run = run.outcome;
             let violations = lcl::verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "n={n}: {violations:?}");
         }
@@ -221,14 +226,18 @@ mod tests {
             let g = gen::path(n);
             let input = orientation_inputs(&g, Orientation::Path);
             let ids = IdAssignment::random_polynomial(n, 3, 7 * n as u64);
-            let run = run_sync(
+            let run = simulate_sync_with(
                 &ColeVishkin,
                 &g,
                 &input,
                 &ids.iter().collect::<Vec<_>>(),
                 None,
                 100,
-            );
+                RunOptions::new(),
+            )
+            .outcome;
+            assert!(run.faults.is_empty(), "Cole–Vishkin halts");
+            let run = run.outcome;
             let violations = lcl::verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "n={n}: {violations:?}");
         }
@@ -243,14 +252,18 @@ mod tests {
             let g = gen::cycle(n.max(3));
             let input = orientation_inputs(&g, Orientation::Cycle);
             let ids = IdAssignment::random_polynomial(g.node_count(), 3, 1);
-            let run = run_sync(
+            let run = simulate_sync_with(
                 &ColeVishkin,
                 &g,
                 &input,
                 &ids.iter().collect::<Vec<_>>(),
                 None,
                 100,
-            );
+                RunOptions::new(),
+            )
+            .outcome;
+            assert!(run.faults.is_empty(), "Cole–Vishkin halts");
+            let run = run.outcome;
             assert!(run.rounds >= prev);
             assert!(run.rounds <= 10, "n={n}: rounds={}", run.rounds);
             prev = run.rounds;

@@ -11,7 +11,7 @@
 use lcl::{HalfEdgeLabeling, LclProblem, OutLabel};
 use lcl_graph::line::line_graph;
 use lcl_graph::Graph;
-use lcl_local::{run_sync, IdAssignment};
+use lcl_local::{simulate_sync_with, IdAssignment};
 
 use crate::coloring::DeltaPlusOne;
 
@@ -86,7 +86,18 @@ pub fn color_edges(graph: &Graph, ids: &IdAssignment) -> (HalfEdgeLabeling<OutLa
     let delta_l = l.max_degree().max(1);
     let alg = DeltaPlusOne { delta: delta_l };
     let input = lcl::uniform_input(&l);
-    let run = run_sync(&alg, &l, &input, &l_ids, None, 10_000_000);
+    let run = simulate_sync_with(
+        &alg,
+        &l,
+        &input,
+        &l_ids,
+        None,
+        10_000_000,
+        Default::default(), // no plan, budget or log
+    )
+    .outcome;
+    assert!(run.faults.is_empty(), "why: coloring L(G) halts");
+    let run = run.outcome;
     let labeling = HalfEdgeLabeling::from_fn(graph, |h| {
         let e = graph.edge_of(h);
         let l_node = lcl_graph::NodeId(e.0);

@@ -167,22 +167,27 @@ impl SyncAlgorithm for MatchingByColor {
 mod tests {
     use super::*;
     use crate::catalog::maximal_matching_problem;
+    use lcl_faults::RunOptions;
     use lcl_graph::gen;
-    use lcl_local::{run_sync, IdAssignment};
+    use lcl_local::{simulate_sync_with, IdAssignment};
 
     fn check(graph: &lcl_graph::Graph, delta: u8, seed: u64) {
         let problem = maximal_matching_problem(delta);
         let input = lcl::uniform_input(graph);
         let ids = IdAssignment::random_polynomial(graph.node_count(), 3, seed);
         let alg = MatchingByColor { delta };
-        let run = run_sync(
+        let run = simulate_sync_with(
             &alg,
             graph,
             &input,
             &ids.iter().collect::<Vec<_>>(),
             None,
             100_000,
-        );
+            RunOptions::new(),
+        )
+        .outcome;
+        assert!(run.faults.is_empty(), "the color sweep halts");
+        let run = run.outcome;
         let violations = lcl::verify(&problem, graph, &input, &run.output);
         assert!(violations.is_empty(), "{violations:?}");
     }

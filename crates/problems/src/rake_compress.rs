@@ -125,8 +125,18 @@ impl SyncAlgorithm for RakeCompress {
 pub fn rake_compress_rounds(graph: &lcl_graph::Graph, seed: u64) -> u32 {
     let input = lcl::uniform_input(graph);
     let ids: Vec<u64> = (0..graph.node_count() as u64).collect();
-    let run = lcl_local::run_sync(&RakeCompress { seed }, graph, &input, &ids, None, 100_000);
-    run.rounds
+    let run = lcl_local::simulate_sync_with(
+        &RakeCompress { seed },
+        graph,
+        &input,
+        &ids,
+        None,
+        100_000,
+        Default::default(), // no plan, budget or log
+    )
+    .outcome;
+    assert!(run.faults.is_empty(), "why: every forest peels");
+    run.outcome.rounds
 }
 
 #[cfg(test)]

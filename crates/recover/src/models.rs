@@ -19,7 +19,7 @@ use lcl::{verify, HalfEdgeLabeling, InLabel, OutLabel, Problem};
 use lcl_faults::{isolate, Degraded, FaultPlan, RunOptions};
 use lcl_graph::Graph;
 use lcl_grid::{OrientedGrid, ProdIds};
-use lcl_local::sync::{run_sync, SyncAlgorithm, SyncRun};
+use lcl_local::sync::{SyncAlgorithm, SyncRun};
 use lcl_local::{ids_under, IdAssignment, LocalAlgorithm, LocalRun};
 use lcl_obs::{Counter, Span, Trace};
 use lcl_volume::{LcaAlgorithm, VolumeAlgorithm, VolumeRun};
@@ -81,8 +81,9 @@ fn certify_or_repair<P: Problem + ?Sized>(
 }
 
 /// Certifies (and repairs if needed) the degraded outcome of
-/// [`lcl_local::simulate_sync_with`] under a fault plan. The mending reference is a
-/// fault-free [`run_sync`] under the same ID permutation, panic-isolated
+/// [`lcl_local::simulate_sync_with`] under a fault plan. The mending
+/// reference is a fault-free run under the same ID permutation; one that
+/// does not halt within `max_rounds` (or panics) counts as no reference,
 /// so a non-halting algorithm degrades to [`RepairFailed`] instead of
 /// aborting.
 #[allow(clippy::too_many_arguments)] // mirrors the faulted entrypoint it wraps
@@ -106,7 +107,19 @@ pub fn repair_sync_degraded<A: SyncAlgorithm, P: Problem + ?Sized>(
         graph,
         input,
         &degraded.outcome.output,
-        || Some(run_sync(alg, graph, input, &ids, n_announced, max_rounds).output),
+        || {
+            let run = lcl_local::simulate_sync_with(
+                alg,
+                graph,
+                input,
+                &ids,
+                n_announced,
+                max_rounds,
+                RunOptions::new(),
+            )
+            .outcome;
+            run.faults.is_empty().then_some(run.outcome.output)
+        },
         opts,
     )
 }
@@ -469,6 +482,69 @@ mod tests {
         assert!(mended.result.is_ok());
         assert_eq!(mended.trace.total(Counter::Repairs), 0);
         assert_eq!(mended.trace.total(Counter::Violations), 0);
+    }
+
+    /// Never halts and labels every port 0.
+    struct Stubborn;
+
+    impl SyncAlgorithm for Stubborn {
+        type State = usize;
+        type Msg = ();
+        fn init(&self, init: &lcl_local::NodeInit) -> usize {
+            init.degree as usize
+        }
+        fn send(&self, degree: &usize, _round: u32) -> Vec<()> {
+            vec![(); *degree]
+        }
+        fn receive(&self, _degree: &mut usize, _inbox: &[()], _round: u32) {}
+        fn is_done(&self, _degree: &usize) -> bool {
+            false
+        }
+        fn output(&self, degree: &usize) -> Vec<OutLabel> {
+            vec![OutLabel(0); *degree]
+        }
+        fn name(&self) -> &str {
+            "stubborn"
+        }
+    }
+
+    #[test]
+    fn a_non_halting_sync_reference_yields_a_typed_repair_failure() {
+        let g = gen::path(6);
+        let input = uniform_input(&g);
+        let ids: Vec<u64> = (1..=6).collect();
+        let plan = FaultPlan::new(3).with(Fault::Crash { node: 2, round: 0 });
+        let p = k_coloring(3, 2);
+        let report = lcl_local::simulate_sync_with(
+            &Stubborn,
+            &g,
+            &input,
+            &ids,
+            None,
+            8,
+            RunOptions::new().faults(&plan),
+        );
+        let degraded = &report.outcome;
+        assert!(degraded.is_degraded());
+        assert!(!verify(&p, &g, &input, &degraded.outcome.output).is_empty());
+        let mended = repair_sync_degraded(
+            &Stubborn,
+            &p,
+            &g,
+            &input,
+            &ids,
+            None,
+            8,
+            &plan,
+            degraded,
+            RepairOptions::default(),
+        );
+        let failed = mended.result.unwrap_err();
+        assert_eq!(
+            failed.rounds_tried, 0,
+            "a degraded reference is no reference"
+        );
+        assert!(!failed.violations.is_empty());
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nsynthesized algorithms, verified on a 100-cycle:");
     for p in &battery {
-        let Some(alg) = synthesize_cycle(p)? else {
+        let Some(alg) = synthesize_cycle(p)?.outcome else {
             println!("  {:<24} (global: no uniform algorithm)", p.problem_name());
             continue;
         };

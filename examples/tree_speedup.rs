@@ -8,8 +8,9 @@
 //! ```
 
 use lcl_landscape::core::{tree_speedup, ReOptions, ReTower, SpeedupOptions, SpeedupOutcome};
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::gen;
-use lcl_landscape::local::run_sync;
+use lcl_landscape::local::simulate_sync_with;
 use lcl_landscape::problems::{anti_matching, k_coloring};
 use lcl_landscape::LandscapeError;
 
@@ -32,7 +33,9 @@ fn main() -> Result<(), LandscapeError> {
     let forest = gen::random_forest(60, 5, 3, 7);
     let input = lcl_landscape::lcl::uniform_input(&forest);
     let ids: Vec<u64> = (0..forest.node_count() as u64).map(|i| 1000 - i).collect();
-    let run = run_sync(&alg, &forest, &input, &ids, None, 10);
+    let run = simulate_sync_with(&alg, &forest, &input, &ids, None, 10, RunOptions::new()).outcome;
+    assert!(run.faults.is_empty(), "synthesized algorithms halt");
+    let run = run.outcome;
     let violations = lcl_landscape::lcl::verify(&problem, &forest, &input, &run.output);
     println!(
         "synthesized algorithm: {} rounds on a 60-node forest, {} violations",

@@ -5,7 +5,7 @@
 use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::{gen, Graph};
 use lcl_landscape::lcl::{uniform_input, verify};
-use lcl_landscape::local::{run_sync, simulate_with, IdAssignment};
+use lcl_landscape::local::{simulate_sync_with, simulate_with, IdAssignment};
 use lcl_landscape::problems::cv::{orientation_inputs, ColeVishkin, Orientation};
 use lcl_landscape::problems::{
     k_coloring, maximal_matching_problem, mis_problem, rake_compress_rounds, two_coloring,
@@ -33,14 +33,18 @@ fn delta_plus_one_coloring_matrix() {
             let problem = k_coloring(usize::from(delta) + 1, delta);
             let input = uniform_input(&g);
             let ids = IdAssignment::random_polynomial(g.node_count(), 3, seed + 11);
-            let run = run_sync(
+            let run = simulate_sync_with(
                 &DeltaPlusOne { delta },
                 &g,
                 &input,
                 &ids.iter().collect::<Vec<_>>(),
                 None,
                 100_000,
-            );
+                RunOptions::new(),
+            )
+            .outcome;
+            assert!(run.faults.is_empty(), "(Δ+1)-coloring halts");
+            let run = run.outcome;
             let violations = verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "{name}: {violations:?}");
         }
@@ -55,14 +59,18 @@ fn mis_matrix() {
             let problem = mis_problem(delta);
             let input = uniform_input(&g);
             let ids = IdAssignment::random_polynomial(g.node_count(), 3, seed + 23);
-            let run = run_sync(
+            let run = simulate_sync_with(
                 &MisByColor { delta },
                 &g,
                 &input,
                 &ids.iter().collect::<Vec<_>>(),
                 None,
                 100_000,
-            );
+                RunOptions::new(),
+            )
+            .outcome;
+            assert!(run.faults.is_empty(), "MIS by color halts");
+            let run = run.outcome;
             let violations = verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "{name}: {violations:?}");
         }
@@ -77,14 +85,18 @@ fn matching_matrix() {
             let problem = maximal_matching_problem(delta);
             let input = uniform_input(&g);
             let ids = IdAssignment::random_polynomial(g.node_count(), 3, seed + 37);
-            let run = run_sync(
+            let run = simulate_sync_with(
                 &MatchingByColor { delta },
                 &g,
                 &input,
                 &ids.iter().collect::<Vec<_>>(),
                 None,
                 100_000,
-            );
+                RunOptions::new(),
+            )
+            .outcome;
+            assert!(run.faults.is_empty(), "matching by color halts");
+            let run = run.outcome;
             let violations = verify(&problem, &g, &input, &run.output);
             assert!(violations.is_empty(), "{name}: {violations:?}");
         }
@@ -100,14 +112,18 @@ fn cole_vishkin_round_counts_are_log_star() {
         let g = gen::cycle(n);
         let input = orientation_inputs(&g, Orientation::Cycle);
         let ids = IdAssignment::random_polynomial(n, 3, n as u64);
-        let run = run_sync(
+        let run = simulate_sync_with(
             &ColeVishkin,
             &g,
             &input,
             &ids.iter().collect::<Vec<_>>(),
             None,
             100,
-        );
+            RunOptions::new(),
+        )
+        .outcome;
+        assert!(run.faults.is_empty(), "Cole–Vishkin halts");
+        let run = run.outcome;
         counts.push(run.rounds);
     }
     assert!(counts[2] >= counts[0]);

@@ -4,9 +4,10 @@
 
 use lcl_rng::SmallRng;
 
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::gen;
 use lcl_landscape::lcl::{uniform_input, verify, HalfEdgeLabeling, OutLabel, Violation};
-use lcl_landscape::local::{run_sync, IdAssignment};
+use lcl_landscape::local::{simulate_sync_with, IdAssignment};
 use lcl_landscape::problems::{
     k_coloring, maximal_matching_problem, mis_problem, DeltaPlusOne, MatchingByColor, MisByColor,
 };
@@ -31,14 +32,18 @@ fn coloring_corruptions_are_always_caught_and_localized() {
     let problem = k_coloring(4, 3);
     let input = uniform_input(&g);
     let ids = IdAssignment::random_polynomial(40, 3, 2);
-    let run = run_sync(
+    let run = simulate_sync_with(
         &DeltaPlusOne { delta: 3 },
         &g,
         &input,
         &ids.iter().collect::<Vec<_>>(),
         None,
         100_000,
-    );
+        RunOptions::new(),
+    )
+    .outcome;
+    assert!(run.faults.is_empty(), "(Δ+1)-coloring halts");
+    let run = run.outcome;
     assert!(verify(&problem, &g, &input, &run.output).is_empty());
 
     let mut rng = SmallRng::seed_from_u64(7);
@@ -80,14 +85,18 @@ fn mis_corruptions_are_always_caught() {
     let problem = mis_problem(3);
     let input = uniform_input(&g);
     let ids = IdAssignment::random_polynomial(36, 3, 5);
-    let run = run_sync(
+    let run = simulate_sync_with(
         &MisByColor { delta: 3 },
         &g,
         &input,
         &ids.iter().collect::<Vec<_>>(),
         None,
         100_000,
-    );
+        RunOptions::new(),
+    )
+    .outcome;
+    assert!(run.faults.is_empty(), "MIS by color halts");
+    let run = run.outcome;
     assert!(verify(&problem, &g, &input, &run.output).is_empty());
     for h in 0..g.half_edge_count() as u32 {
         for bump in 1..3u32 {
@@ -112,14 +121,18 @@ fn matching_corruptions_are_always_caught() {
     let problem = maximal_matching_problem(3);
     let input = uniform_input(&g);
     let ids = IdAssignment::random_polynomial(30, 3, 9);
-    let run = run_sync(
+    let run = simulate_sync_with(
         &MatchingByColor { delta: 3 },
         &g,
         &input,
         &ids.iter().collect::<Vec<_>>(),
         None,
         100_000,
-    );
+        RunOptions::new(),
+    )
+    .outcome;
+    assert!(run.faults.is_empty(), "matching by color halts");
+    let run = run.outcome;
     assert!(verify(&problem, &g, &input, &run.output).is_empty());
     let mut missed = Vec::new();
     for h in 0..g.half_edge_count() as u32 {

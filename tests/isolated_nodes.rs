@@ -5,6 +5,8 @@
 #[test]
 fn synthesized_algorithms_tolerate_isolated_nodes() {
     use lcl_landscape::core::{tree_speedup, SpeedupOptions};
+    use lcl_landscape::faults::RunOptions;
+    use lcl_landscape::local::simulate_sync_with;
     use lcl_landscape::problems::anti_matching;
     let p = anti_matching(3);
     let outcome = tree_speedup(&p, SpeedupOptions::default());
@@ -14,6 +16,8 @@ fn synthesized_algorithms_tolerate_isolated_nodes() {
     b.add_edge(0, 1).unwrap();
     let g = b.build().unwrap();
     let input = lcl_landscape::lcl::uniform_input(&g);
-    let run = lcl_landscape::local::run_sync(&alg, &g, &input, &[1, 2, 3], None, 5);
+    let run = simulate_sync_with(&alg, &g, &input, &[1, 2, 3], None, 5, RunOptions::new()).outcome;
+    assert!(run.faults.is_empty(), "synthesized algorithms halt");
+    let run = run.outcome;
     assert!(lcl_landscape::lcl::verify(&p, &g, &input, &run.output).is_empty());
 }

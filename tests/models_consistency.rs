@@ -11,7 +11,9 @@ use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::gen;
 use lcl_landscape::grid::{OrderInvariantProdAlgorithm, OrientedGrid, ProdIds, RankGridView};
 use lcl_landscape::lcl::{uniform_input, verify, OutLabel};
-use lcl_landscape::local::{is_empirically_order_invariant, FnAlgorithm, IdAssignment};
+use lcl_landscape::local::{
+    is_empirically_order_invariant, simulate_sync_with, FnAlgorithm, IdAssignment,
+};
 use lcl_landscape::problems::k_coloring;
 use lcl_landscape::volume::NodeInfo;
 
@@ -31,14 +33,18 @@ fn volume_and_local_solve_the_same_coloring() {
     // since the orientation arrives as input labels).
     let cv_input = orientation_inputs(&g, Orientation::Cycle);
     let oriented = oriented_three_coloring();
-    let local_run = lcl_landscape::local::run_sync(
+    let local_run = simulate_sync_with(
         &ColeVishkin,
         &g,
         &cv_input,
         &ids.iter().collect::<Vec<_>>(),
         None,
         100,
-    );
+        RunOptions::new(),
+    )
+    .outcome;
+    assert!(local_run.faults.is_empty(), "Cole–Vishkin halts");
+    let local_run = local_run.outcome;
     assert!(verify(&oriented, &g, &cv_input, &local_run.output).is_empty());
 
     // VOLUME (same problem, no orientation inputs needed: ports carry it).

@@ -17,7 +17,7 @@
 //!   `Θ(log* n)` stays within a generous `c·log* n + c`).
 
 use lcl::{LclProblem, OutLabel};
-use lcl_landscape::classify::{classify_oriented_cycle, synthesize_cycle_traced, PathClass};
+use lcl_landscape::classify::{classify_oriented_cycle, synthesize_cycle, PathClass};
 use std::sync::Arc;
 
 use lcl_landscape::core::{tree_speedup_logged, ReOptions, ReTower, SpeedupOptions};
@@ -274,7 +274,7 @@ fn classified_tiers_bound_reported_rounds() {
         if !matches!(class, PathClass::Constant | PathClass::LogStar) {
             continue;
         }
-        let report = synthesize_cycle_traced(problem).expect("classifiable");
+        let report = synthesize_cycle(problem).expect("classifiable");
         let alg = report
             .outcome
             .as_ref()

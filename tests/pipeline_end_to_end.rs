@@ -5,9 +5,10 @@
 use lcl_landscape::core::speedup_trees::brute_force_solvable;
 use lcl_landscape::core::zero_round::{decide_zero_round, ZeroRoundOptions};
 use lcl_landscape::core::{tree_speedup, ReOptions, ReTower, SpeedupOptions, SpeedupOutcome};
+use lcl_landscape::faults::RunOptions;
 use lcl_landscape::graph::gen;
 use lcl_landscape::lcl::{uniform_input, verify, InLabel, LclProblem};
-use lcl_landscape::local::run_sync;
+use lcl_landscape::local::simulate_sync_with;
 use lcl_landscape::problems::{anti_matching, k_coloring, sinkless_orientation};
 
 fn run_and_verify(problem: &LclProblem, outcome: &SpeedupOutcome, seeds: u64) {
@@ -24,7 +25,10 @@ fn run_and_verify(problem: &LclProblem, outcome: &SpeedupOutcome, seeds: u64) {
             let ids: Vec<u64> = (0..graph.node_count() as u64)
                 .map(|i| i * 31 + seed * 7 + 1)
                 .collect();
-            let run = run_sync(&alg, &graph, &input, &ids, None, 10);
+            let run =
+                simulate_sync_with(&alg, &graph, &input, &ids, None, 10, RunOptions::new()).outcome;
+            assert!(run.faults.is_empty(), "synthesized algorithms halt");
+            let run = run.outcome;
             let violations = verify(problem, &graph, &input, &run.output);
             assert!(
                 violations.is_empty(),
@@ -67,7 +71,9 @@ fn input_labeled_problem_pipeline() {
     let graph = gen::random_tree(30, 3, 5);
     let input = lcl_landscape::lcl::HalfEdgeLabeling::from_fn(&graph, |h| InLabel(h.0 % 2));
     let ids: Vec<u64> = (0..30).collect();
-    let run = run_sync(&alg, &graph, &input, &ids, None, 5);
+    let run = simulate_sync_with(&alg, &graph, &input, &ids, None, 5, RunOptions::new()).outcome;
+    assert!(run.faults.is_empty(), "synthesized algorithms halt");
+    let run = run.outcome;
     assert!(verify(&problem, &graph, &input, &run.output).is_empty());
 }
 

@@ -190,7 +190,7 @@ fn check_synthesized_cycle_algorithm_is_sound(seed: u64, n: usize) {
         },
         seed,
     );
-    if let Ok(Some(alg)) = synthesize_cycle(&p) {
+    if let Ok(Some(alg)) = synthesize_cycle(&p).map(|report| report.outcome) {
         let n = n.max(3);
         // Flexibility guarantees solvability for all *large* n; skip
         // the (finitely many) unsolvable small sizes.
@@ -243,7 +243,7 @@ fn check_synthesized_path_algorithm_is_sound(seed: u64, n: usize) {
         },
         seed,
     );
-    if let Ok(Some(alg)) = synthesize_path(&p) {
+    if let Ok(Some(alg)) = synthesize_path(&p).map(|report| report.outcome) {
         let table =
             lcl_landscape::classify::solvable_path_lengths_up_to(&p, n).expect("input-independent");
         if !table.last().is_some_and(|&(_, s)| s) {

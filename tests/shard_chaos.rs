@@ -13,7 +13,7 @@ use lcl_landscape::core::{tree_speedup, SpeedupOptions, SpeedupOutcome};
 use lcl_landscape::faults::{Fault, FaultPlan, RunOptions};
 use lcl_landscape::graph::{gen, Graph, NodeId, ShardMap};
 use lcl_landscape::lcl::{uniform_input, HalfEdgeLabeling, LclProblem, OutLabel};
-use lcl_landscape::local::{run_sync, NodeInit, SyncAlgorithm};
+use lcl_landscape::local::{simulate_sync_with, NodeInit, SyncAlgorithm};
 use lcl_landscape::obs::Counter;
 use lcl_landscape::problems::anti_matching;
 use lcl_landscape::recover::RepairOptions;
@@ -84,7 +84,9 @@ fn chaos_case(
     let ids: Vec<u64> = (0..g.node_count() as u64)
         .map(|i| i * 31 + seed * 7 + 1)
         .collect();
-    let clean = run_sync(alg, &g, &input, &ids, None, 10);
+    let clean = simulate_sync_with(alg, &g, &input, &ids, None, 10, RunOptions::new()).outcome;
+    assert!(clean.faults.is_empty(), "synthesized algorithms halt");
+    let clean = clean.outcome;
     let plan = FaultPlan::random_shard_chaos(seed, shards, crashes, 0);
     let crashed: BTreeSet<usize> = plan
         .faults()
@@ -266,7 +268,9 @@ fn lenient_budget_absorbs_halo_loss() {
     let g = gen::random_tree(n, 3, seed);
     let input = uniform_input(&g);
     let ids: Vec<u64> = (0..n as u64).map(|i| i * 31 + seed * 7 + 1).collect();
-    let clean = run_sync(&alg, &g, &input, &ids, None, 10);
+    let clean = simulate_sync_with(&alg, &g, &input, &ids, None, 10, RunOptions::new()).outcome;
+    assert!(clean.faults.is_empty(), "synthesized algorithms halt");
+    let clean = clean.outcome;
     assert_eq!(clean.rounds, steps, "the synthesis promise holds cleanly");
     let plan = FaultPlan::random_shard_chaos(seed, 8, 2, 0);
     let run = simulate_sharded_with(
