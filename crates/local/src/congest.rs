@@ -13,6 +13,7 @@ use std::cell::Cell;
 use lcl::{HalfEdgeLabeling, InLabel, OutLabel};
 use lcl_faults::{Degraded, RunOptions};
 use lcl_graph::Graph;
+use lcl_obs::RunReport;
 
 use crate::sync::{simulate_sync_with, NodeInit, SyncAlgorithm, SyncRun};
 
@@ -84,10 +85,13 @@ impl CongestRun {
     }
 }
 
-/// Runs a [`SyncAlgorithm`] through [`simulate_sync_with`] while
-/// measuring message sizes. A run that does not halt within `max_rounds`
+/// Runs a [`SyncAlgorithm`] through [`simulate_sync_with`] under
+/// `opts` while measuring message sizes, keeping the run's trace (its
+/// `local/sync/<alg>` span, or `local/sync-faulted/<alg>` under a plan
+/// or round budget). A run that does not halt within `max_rounds`
 /// degrades to typed `"no-halt"` faults, with the bits of every round it
-/// ran counted.
+/// ran counted. Every outbox a node produces is metered, including one
+/// that a plan then files as a `wrong-arity` fault.
 pub fn run_congest<A>(
     alg: &A,
     graph: &Graph,
@@ -95,7 +99,8 @@ pub fn run_congest<A>(
     ids: &[u64],
     n_announced: Option<usize>,
     max_rounds: u32,
-) -> CongestRun
+    opts: RunOptions<'_>,
+) -> RunReport<CongestRun>
 where
     A: SyncAlgorithm,
     A::Msg: MessageBits,
@@ -142,26 +147,21 @@ where
         max_bits: Cell::new(0),
         total_bits: Cell::new(0),
     };
-    let report = simulate_sync_with(
-        &metered,
-        graph,
-        input,
-        ids,
-        n_announced,
-        max_rounds,
-        RunOptions::new(),
-    );
-    CongestRun {
-        run: report.outcome,
-        max_message_bits: metered.max_bits.get(),
-        total_bits: metered.total_bits.get(),
-    }
+    simulate_sync_with(&metered, graph, input, ids, n_announced, max_rounds, opts).map(|run| {
+        CongestRun {
+            run,
+            max_message_bits: metered.max_bits.get(),
+            total_bits: metered.total_bits.get(),
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_faults::{Fault, FaultPlan};
     use lcl_graph::gen;
+    use lcl_obs::{Counter, EventLog};
 
     /// Flood the maximum id for `k` rounds (messages are ids: log n bits).
     struct Flood {
@@ -204,17 +204,27 @@ mod tests {
         }
     }
 
+    /// A metered `k`-round flood on `g` with ids `0, 1, ..`.
+    fn flood(k: u32, g: &Graph, max_rounds: u32, opts: RunOptions<'_>) -> RunReport<CongestRun> {
+        let input = lcl::uniform_input(g);
+        let ids: Vec<u64> = (0..g.node_count() as u64).collect();
+        run_congest(&Flood { k }, g, &input, &ids, None, max_rounds, opts)
+    }
+
     #[test]
     fn id_flooding_is_congest() {
         let g = gen::cycle(16);
-        let input = lcl::uniform_input(&g);
-        let ids: Vec<u64> = (0..16).collect();
-        let run = run_congest(&Flood { k: 3 }, &g, &input, &ids, None, 100);
+        let report = flood(3, &g, 100, RunOptions::new());
+        let run = &report.outcome;
         assert!(run.max_message_bits <= 4); // ids < 16
         assert!(run.is_congest(16, 1));
         assert!(run.run.faults.is_empty());
         assert_eq!(run.run.outcome.rounds, 3);
         assert!(run.total_bits > 0);
+        // The run keeps its trace: the sync span, with rounds and messages.
+        assert_eq!(report.trace.root().name(), "local/sync/anonymous");
+        assert_eq!(report.trace.total(Counter::Rounds), 3);
+        assert_eq!(report.trace.total(Counter::Messages), 3 * 32);
     }
 
     /// A flood that outlasts `max_rounds` degrades to one typed
@@ -223,9 +233,7 @@ mod tests {
     #[test]
     fn runaway_flood_degrades_to_no_halt_faults() {
         let g = gen::cycle(8);
-        let input = lcl::uniform_input(&g);
-        let ids: Vec<u64> = (0..8).collect();
-        let run = run_congest(&Flood { k: 1000 }, &g, &input, &ids, None, 5);
+        let run = flood(1000, &g, 5, RunOptions::new()).outcome;
         assert_eq!(run.run.outcome.rounds, 5);
         assert_eq!(run.run.faults.len(), 8);
         assert!(run
@@ -235,6 +243,30 @@ mod tests {
             .all(|f| f.payload == "did not halt within 5 rounds" && f.round == 5));
         assert!(run.max_message_bits <= 3); // ids < 8
         assert!(run.total_bits > 0);
+    }
+
+    /// Under a plan the metered run degrades like any sync run: a
+    /// crashed node is a typed fault, and its beacons are not metered
+    /// again.
+    #[test]
+    fn metered_run_takes_a_plan_and_streams_events() {
+        let g = gen::cycle(8);
+        let plan = FaultPlan::new(0).with(Fault::Crash { node: 3, round: 1 });
+        let log = EventLog::new(64);
+        let report = flood(3, &g, 100, RunOptions::new().faults(&plan).events(&log));
+        let run = &report.outcome;
+        assert_eq!(run.run.faults.len(), 1);
+        assert_eq!(run.run.faults[0].payload, "crash-stop");
+        assert_eq!(report.trace.root().name(), "local/sync-faulted/anonymous");
+        assert_eq!(report.trace.total(Counter::Faults), 1);
+        // Node 3's beacons in rounds 1 and 2 count as messages, but only
+        // its round-0 send was metered.
+        let sent = report.trace.total(Counter::Messages);
+        assert_eq!(sent, 3 * 16);
+        assert_eq!(log.cost_model().get(lcl_obs::CostKind::Message), sent);
+        let clean = flood(3, &g, 100, RunOptions::new());
+        assert_eq!(clean.trace.total(Counter::Messages), sent);
+        assert!(run.total_bits < clean.outcome.total_bits);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! * [`SyncAlgorithm`] — the equivalent message-passing formulation, for
 //!   naturally iterative algorithms (Cole–Vishkin, rake-and-compress);
 //!   run it with [`simulate_sync_with`], which counts the rounds actually
-//!   used. A run that exhausts its round cap degrades to one typed
-//!   `"no-halt"` fault per unfinished node instead of panicking;
-//!   [`run_congest`] meters its message sizes.
+//!   used, through one round loop with or without a fault plan. A run
+//!   that exhausts its round cap degrades to one typed `"no-halt"` fault
+//!   per unfinished node instead of panicking; [`run_congest`] meters
+//!   its message sizes under the same options.
 //! * [`OrderInvariantAlgorithm`] — Definition 2.7: algorithms that only see
 //!   the relative order of identifiers; includes an empirical
 //!   order-invariance checker used by the speed-up theorems.
@@ -28,7 +29,10 @@
 //!   [`RunOptions`](lcl_faults::RunOptions) of [`simulate_with`] or
 //!   [`simulate_sync_with`] (crash-stops, corrupted views, adversarial
 //!   ID permutations, injected panics) degrades the run to typed
-//!   per-node fault records instead of aborting.
+//!   per-node fault records instead of aborting. The plan changes only
+//!   the ids, the per-node injection and what a failing node costs;
+//!   the loop is the plain run's. DESIGN.md, "Fault model & budgets",
+//!   states the fault semantics.
 //!
 //! # Examples
 //!
@@ -53,7 +57,6 @@
 
 pub mod algorithm;
 pub mod congest;
-pub mod faulted;
 pub mod ids;
 pub mod measure;
 pub mod order_invariant;

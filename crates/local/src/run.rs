@@ -151,10 +151,10 @@ fn run_views(
 /// the execution trace: every node evaluates the view-function on its
 /// radius-`T(n)` ball, seeing the identifiers in `ids`.
 ///
-/// With a fault plan the run degrades (see [`crate::faulted`] for the
-/// fault semantics): the plan may permute `ids`, and a crashed,
-/// panicking or mislabeling node costs one typed fault record and
-/// placeholder labels. Without one the outcome is [`Degraded::clean`].
+/// With a fault plan the run degrades (DESIGN.md, "Fault model &
+/// budgets", states the fault semantics): the plan may permute `ids`,
+/// and a crashed, panicking or mislabeling node costs one typed fault
+/// record and placeholder labels. Without one the outcome is [`Degraded::clean`].
 /// A budget's dimensions do not apply to view-based LOCAL runs (the
 /// radius is the algorithm's, not a resource) and are ignored here.
 ///
@@ -417,7 +417,9 @@ mod tests {
     use super::*;
     use crate::algorithm::FnAlgorithm;
     use lcl::LclProblem;
+    use lcl_faults::{Fault, FaultPlan};
     use lcl_graph::gen;
+    use lcl_obs::EventLog;
 
     fn any_label_problem() -> LclProblem {
         LclProblem::builder("any", 3)
@@ -594,7 +596,6 @@ mod tests {
 
     #[test]
     fn simulate_logged_records_view_events() {
-        use lcl_obs::{Event, EventLog};
         let g = gen::path(4);
         let alg = FnAlgorithm::new(
             "radius-1",
@@ -635,7 +636,7 @@ mod tests {
 
     #[test]
     fn cost_model_charges_views_to_their_centers() {
-        use lcl_obs::{CostKind, EventLog};
+        use lcl_obs::CostKind;
         let g = gen::path(4);
         let alg = FnAlgorithm::new(
             "radius-1",
@@ -682,5 +683,144 @@ mod tests {
         let input = lcl::uniform_input(&g);
         let ids = IdAssignment::sequential(3);
         let _ = simulate_with(&alg, &g, &input, &ids, None, RunOptions::new());
+    }
+
+    fn echo_id_alg() -> FnAlgorithm<impl Fn(usize) -> u32, impl Fn(&View) -> Vec<OutLabel>> {
+        FnAlgorithm::new(
+            "echo-id",
+            |_| 1,
+            |view| vec![OutLabel(view.center_id() as u32); view.center_degree()],
+        )
+    }
+
+    #[test]
+    fn a_crash_after_round_t_never_bites_a_view() {
+        let g = gen::path(5);
+        let input = lcl::uniform_input(&g);
+        let ids = IdAssignment::sequential(5);
+        // `echo_id_alg` has T = 1: a crash at round 2 comes after node 2
+        // has collected its view, one at round 1 does not.
+        let late = FaultPlan::new(0).with(Fault::Crash { node: 2, round: 2 });
+        let report = simulate_with(
+            &echo_id_alg(),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&late),
+        );
+        assert!(!report.outcome.is_degraded());
+        let plain = simulate_with(&echo_id_alg(), &g, &input, &ids, None, RunOptions::new())
+            .outcome
+            .outcome;
+        assert_eq!(report.outcome.outcome, plain);
+        let on_time = FaultPlan::new(0).with(Fault::Crash { node: 2, round: 1 });
+        let report = simulate_with(
+            &echo_id_alg(),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&on_time),
+        );
+        assert_eq!(report.outcome.faults.len(), 1);
+    }
+
+    #[test]
+    fn crash_and_panic_degrade_without_aborting() {
+        let g = gen::path(5);
+        let input = lcl::uniform_input(&g);
+        let ids = IdAssignment::sequential(5);
+        let plan = FaultPlan::new(0)
+            .with(Fault::Crash { node: 1, round: 0 })
+            .with(Fault::PanicNode { node: 3 });
+        let log = EventLog::new(64);
+        let opts = RunOptions::new().faults(&plan).events(&log);
+        let report = simulate_with(&echo_id_alg(), &g, &input, &ids, None, opts);
+        let degraded = &report.outcome;
+        assert!(degraded.is_degraded());
+        assert_eq!(degraded.faults.len(), 2);
+        assert_eq!(degraded.faults[0].payload, "crash-stop");
+        assert!(degraded.faults[1]
+            .payload
+            .contains("injected panic at node 3"));
+        assert_eq!(report.trace.total(Counter::Faults), 2);
+        let fault_events = log
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::Fault { .. }))
+            .count();
+        assert_eq!(fault_events, 2);
+        // Healthy nodes still answered from their own views.
+        let h = g.half_edge(lcl_graph::NodeId(0), 0);
+        assert_eq!(degraded.outcome.output.get(h), OutLabel(0));
+    }
+
+    #[test]
+    fn corrupt_view_changes_output_but_not_center() {
+        let g = gen::path(4);
+        let input = lcl::uniform_input(&g);
+        let ids = IdAssignment::from_vec(vec![10, 20, 30, 40]);
+        // Output the max id in view: corruption of neighbors can change it.
+        let alg = FnAlgorithm::new(
+            "max-id",
+            |_| 1,
+            |view| {
+                let max = view.ids.iter().copied().max().unwrap_or(0);
+                vec![OutLabel((max % 1000) as u32); view.center_degree()]
+            },
+        );
+        let plan = FaultPlan::new(0).with(Fault::CorruptView { node: 1, salt: 7 });
+        let a = simulate_with(
+            &alg,
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        let b = simulate_with(
+            &alg,
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        assert_eq!(a.outcome, b.outcome, "corruption is deterministic");
+        // No fault record: the node answered, possibly wrongly.
+        assert!(!a.outcome.is_degraded());
+    }
+
+    #[test]
+    fn id_permutation_is_applied_and_deterministic() {
+        let g = gen::path(4);
+        let input = lcl::uniform_input(&g);
+        let ids = IdAssignment::from_vec(vec![10, 20, 30, 40]);
+        let plan = FaultPlan::new(9).with_permuted_ids();
+        let run = simulate_with(
+            &echo_id_alg(),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        let seen: Vec<u32> = g
+            .nodes()
+            .map(|v| run.outcome.outcome.output.get(g.half_edge(v, 0)).0)
+            .collect();
+        let mut sorted = seen.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, vec![10, 20, 30, 40], "same id multiset");
+        let again = simulate_with(
+            &echo_id_alg(),
+            &g,
+            &input,
+            &ids,
+            None,
+            RunOptions::new().faults(&plan),
+        );
+        assert_eq!(run.outcome, again.outcome);
     }
 }

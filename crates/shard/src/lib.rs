@@ -10,10 +10,10 @@
 //! in-process executor ([`simulate_sharded_with`]) and the
 //! process-per-shard supervisor (`lcl_procshard`) are two transports
 //! of that loop and differ only in how halo batches travel. A sharded
-//! run is bit-identical to the single-image faulted executor for every
-//! plan without whole-shard losses — outcome, fault list, and
-//! event-log cost model all agree across every shard count and runner
-//! thread count.
+//! run is bit-identical to the single-image round loop of
+//! `lcl_local::simulate_sync_with` for every plan without whole-shard
+//! losses — outcome, fault list, and event-log cost model all agree
+//! across every shard count and runner thread count.
 //!
 //! On top of the substrate, whole-shard loss is a first-class fault:
 //! `Fault::ShardCrash` kills a shard mid-superstep, the shard is

@@ -31,7 +31,9 @@
 //!
 //! # Semantics
 //!
-//! The per-node rules mirror `lcl_local`'s degrading executor:
+//! The per-node rules mirror `lcl_local::simulate_sync_with` under a
+//! fault plan, a loop that shares no code with this stepper and so
+//! stays its independent oracle:
 //! crash-stops bite before sends, dead nodes beacon their last outbox,
 //! a node with an incomplete inbox skips its receive, and every node
 //! invocation is panic-isolated. Faults are buffered per phase (see

@@ -21,6 +21,8 @@ done
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+# perfbench is a workspace of its own, which the root check never sees.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --release -- -D warnings

@@ -246,7 +246,9 @@ fn cole_vishkin_is_congest_compatible() {
         &ids.iter().collect::<Vec<_>>(),
         None,
         100,
-    );
+        RunOptions::new(),
+    )
+    .outcome;
     // Messages are colors; initially identifiers < n³ = 2^24.
     assert!(run.is_congest(n, 3), "max = {} bits", run.max_message_bits);
     assert!(run.max_message_bits <= 24);

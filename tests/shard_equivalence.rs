@@ -8,8 +8,8 @@
 use lcl_landscape::core::{tree_speedup, SpeedupOptions};
 use lcl_landscape::faults::{Fault, FaultPlan, RunOptions};
 use lcl_landscape::graph::{gen, Graph};
-use lcl_landscape::lcl::uniform_input;
-use lcl_landscape::local::simulate_sync_with;
+use lcl_landscape::lcl::{uniform_input, HalfEdgeLabeling, InLabel, OutLabel};
+use lcl_landscape::local::{simulate_sync_with, NodeInit, SyncAlgorithm};
 use lcl_landscape::obs::{Counter, EventLog};
 use lcl_landscape::problems::anti_matching;
 use lcl_landscape::problems::cv::{orientation_inputs, ColeVishkin, Orientation};
@@ -90,7 +90,9 @@ fn under_plan<'a>(opts: RunOptions<'a>, plan: Option<&'a FaultPlan>) -> RunOptio
 /// Node-level fault plans (crash-stops, injected panics, an id
 /// permutation) degrade identically on both substrates: same outcome,
 /// same fault list in the same order, same event-derived cost model.
-/// The plan-free run is the first input: clean on both substrates.
+/// The plan-free run is the first input: clean on both substrates. The
+/// genuinely misbehaving [`Misbehaving`] is the second, under a plan
+/// only (without one its panic propagates).
 #[test]
 fn node_fault_plans_degrade_bit_identically() {
     let g = gen::path(48);
@@ -101,13 +103,69 @@ fn node_fault_plans_degrade_bit_identically() {
         .with(Fault::Crash { node: 31, round: 0 })
         .with(Fault::PanicNode { node: 17 })
         .with_permuted_ids();
-    for plan in [None, Some(&faulty)] {
+    degrade_bit_identically(&ColeVishkin, &g, &input, &ids, &[None, Some(&faulty)]);
+
+    let misbehaving = Misbehaving {
+        init_panics: ids[30],
+        panics: ids[8],
+        short_send: ids[20],
+        long_label: ids[40],
+    };
+    let quiet = FaultPlan::new(0);
+    let plans = [Some(&quiet), Some(&faulty)];
+    degrade_bit_identically(&misbehaving, &g, &input, &ids, &plans);
+    // Under the quiet plan each misbehaviour bites its own node, and the
+    // mute ports of the stateless node and of the short sender leave
+    // their neighbors unfinished.
+    let run = simulate_sync_with(
+        &misbehaving,
+        &g,
+        &input,
+        &ids,
+        None,
+        24,
+        RunOptions::new().faults(&quiet),
+    );
+    let faults = &run.outcome.faults;
+    let filed: Vec<(u64, u64)> = faults.iter().map(|f| (f.node, f.round)).collect();
+    let expected = [
+        (30, 0),
+        (20, 0),
+        (8, 1),
+        (19, 24),
+        (21, 24),
+        (29, 24),
+        (31, 24),
+        (40, 24),
+    ];
+    assert_eq!(filed, expected);
+    assert_eq!(faults[0].payload, "misbehaving init at node 30");
+    assert!(faults[1].payload.starts_with("sent 1 messages"));
+    assert_eq!(faults[2].payload, "misbehaving receive at node 8");
+    assert!(faults[3].payload.starts_with("did not halt"));
+    assert!(faults[7].payload.starts_with("labeled 3 ports"));
+}
+
+/// Runs `alg` under each of `plans` on both substrates and checks
+/// that they degrade bit-identically.
+fn degrade_bit_identically<A>(
+    alg: &A,
+    g: &Graph,
+    input: &HalfEdgeLabeling<InLabel>,
+    ids: &[u64],
+    plans: &[Option<&FaultPlan>],
+) where
+    A: SyncAlgorithm + Sync,
+    A::State: Send,
+    A::Msg: Send,
+{
+    for &plan in plans {
         let base_log = EventLog::new(4096);
         let baseline = simulate_sync_with(
-            &ColeVishkin,
-            &g,
-            &input,
-            &ids,
+            alg,
+            g,
+            input,
+            ids,
             None,
             24,
             under_plan(RunOptions::new().events(&base_log), plan),
@@ -121,10 +179,10 @@ fn node_fault_plans_degrade_bit_identically() {
             for threads in THREAD_COUNTS {
                 let log = EventLog::new(4096);
                 let run = simulate_sharded_with(
-                    &ColeVishkin,
-                    &g,
-                    &input,
-                    &ids,
+                    alg,
+                    g,
+                    input,
+                    ids,
                     None,
                     24,
                     threads,
@@ -141,6 +199,72 @@ fn node_fault_plans_degrade_bit_identically() {
                 );
             }
         }
+    }
+}
+
+/// A flood-max run of four rounds whose nodes genuinely misbehave by
+/// id: the node holding `init_panics` panics in its init (so it has no
+/// state), the one holding `panics` panics in its round-1 receive, the
+/// one holding `short_send` sends one message short (so it dies mute
+/// before its first send lands), and the one holding `long_label`
+/// labels one port too many.
+struct Misbehaving {
+    init_panics: u64,
+    panics: u64,
+    short_send: u64,
+    long_label: u64,
+}
+
+#[derive(Clone)]
+struct FloodState {
+    node: usize,
+    id: u64,
+    best: u64,
+    degree: usize,
+    round: u32,
+}
+
+impl SyncAlgorithm for Misbehaving {
+    type State = FloodState;
+    type Msg = u64;
+
+    fn init(&self, init: &NodeInit) -> FloodState {
+        if init.id == self.init_panics {
+            panic!("misbehaving init at node {}", init.node.index());
+        }
+        FloodState {
+            node: init.node.index(),
+            id: init.id,
+            best: init.id,
+            degree: init.degree as usize,
+            round: 0,
+        }
+    }
+
+    fn send(&self, state: &FloodState, _round: u32) -> Vec<u64> {
+        let short = usize::from(state.id == self.short_send);
+        vec![state.best; state.degree - short]
+    }
+
+    fn receive(&self, state: &mut FloodState, inbox: &[u64], round: u32) {
+        if state.id == self.panics && round == 1 {
+            panic!("misbehaving receive at node {}", state.node);
+        }
+        state.best = inbox.iter().fold(state.best, |best, &m| best.max(m));
+        state.round += 1;
+    }
+
+    fn is_done(&self, state: &FloodState) -> bool {
+        state.round >= 4
+    }
+
+    fn output(&self, state: &FloodState) -> Vec<OutLabel> {
+        let long = usize::from(state.id == self.long_label);
+        vec![OutLabel(u32::from(state.best == state.id)); state.degree + long]
+    }
+
+    fn name(&self) -> &str {
+        "misbehaving"
     }
 }
 
