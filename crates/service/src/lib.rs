@@ -62,7 +62,7 @@ pub use protocol::{
     ClassifyResult, ProtocolError, Request, Response, Scalar, StatsReply,
 };
 pub use server::{ClassifyServer, ServiceConfig, ServiceStats, SubmitError};
-pub use store::{StoreError, TowerStore};
+pub use store::{StoreError, TowerStore, TowerSummary};
 pub use wire::serve_connection;
 #[cfg(unix)]
 pub use wire::serve_unix;

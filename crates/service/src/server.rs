@@ -6,8 +6,8 @@
 //!
 //! 1. **Cache hit** — the problem's canonical fingerprint is already
 //!    published in the store *at least as deep as the requested
-//!    `steps`*; the snapshot is served immediately, on the submitting
-//!    thread, with `cached: true`. No queueing, no recomputation.
+//!    `steps`*; its in-memory [`TowerSummary`], not the snapshot, answers
+//!    on the submitting thread with `cached: true`: no read, parse or queue.
 //! 2. **Coalesced** — a structurally identical job is already in flight;
 //!    the new subscriber is attached to it and receives the same
 //!    progress stream and terminal result. A subscriber asking for more
@@ -36,14 +36,14 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use lcl::{canonical_key, canonical_text_form, LclProblem, ParseError};
-use lcl_core::{ReOptions, ReTower, TowerSnapshot};
+use lcl_core::{ReOptions, ReTower};
 use lcl_faults::Budget;
 use lcl_obs::export::prometheus_text;
 use lcl_obs::{Counter, Event, EventLog, Registry, Span, Trace};
 use lcl_recover::{supervise_tower_from, RetryPolicy};
 
 use crate::protocol::{ClassifyRequest, ClassifyResult, Response, StatsReply};
-use crate::store::{StoreError, TowerStore};
+use crate::store::{TowerStore, TowerSummary};
 
 /// Tuning knobs of a [`ClassifyServer`].
 #[derive(Clone, Copy, Debug)]
@@ -87,8 +87,6 @@ pub enum SubmitError {
         /// The configured capacity that was hit.
         capacity: usize,
     },
-    /// The store failed while answering the cache lookup.
-    Store(StoreError),
     /// The server is shutting down.
     ShuttingDown,
 }
@@ -100,7 +98,6 @@ impl fmt::Display for SubmitError {
             SubmitError::QueueFull { capacity } => {
                 write!(f, "job queue is full ({capacity} jobs)")
             }
-            SubmitError::Store(e) => write!(f, "store failure: {e}"),
             SubmitError::ShuttingDown => write!(f, "server is shutting down"),
         }
     }
@@ -114,8 +111,8 @@ impl std::error::Error for SubmitError {}
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ServiceStats {
     /// Submissions accepted or queue-rejected (exactly the sum of the
-    /// four path counters; parse and store-lookup failures never reach
-    /// any path and are not counted).
+    /// four path counters; parse failures never reach any path and are
+    /// not counted).
     pub requests: u64,
     /// Requests answered from the store without any computation.
     pub cache_hits: u64,
@@ -235,15 +232,15 @@ impl ClassifyServer {
     /// # Errors
     ///
     /// [`SubmitError`] when the problem text does not parse, the queue
-    /// is full, the store lookup fails, or the server is shutting down.
+    /// is full, or the server is shutting down.
     pub fn submit(&self, req: &ClassifyRequest) -> Result<mpsc::Receiver<Response>, SubmitError> {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
         // `requests` counts only the four documented outcomes (hit,
-        // coalesced, queued, rejected); parse and store-lookup failures
-        // never reach any of them.
+        // coalesced, queued, rejected); parse failures never reach any
+        // of them.
         let problem = LclProblem::parse(&req.problem).map_err(SubmitError::Problem)?;
         let key = canonical_key(&problem);
         let (tx, rx) = mpsc::channel();
@@ -261,20 +258,24 @@ impl ClassifyServer {
             inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
             return Ok(rx);
         }
-        match inner.store.get(&key) {
-            Ok(Some(snap)) if snapshot_derived_f(&snap) >= req.steps => {
-                drop(inflight);
-                inner.counters.requests.fetch_add(1, Ordering::Relaxed);
-                inner.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let result = result_from_snapshot(req.id, &key, &snap);
-                let _ = tx.send(Response::Result(result));
-                return Ok(rx);
-            }
-            // Absent, or published shallower than requested: enqueue a
-            // build (the worker resumes from the published snapshot, so
-            // a deepening job pays only for the missing levels).
-            Ok(_) => {}
-            Err(e) => return Err(SubmitError::Store(e)),
+        // Absent or too shallow: build, resuming from the published
+        // snapshot so a deepening job pays only for the missing levels.
+        let hit = inner.store.summary(&key);
+        if let Some(summary) = hit.filter(|s| s.derived_f >= req.steps) {
+            drop(inflight);
+            inner.counters.requests.fetch_add(1, Ordering::Relaxed);
+            inner.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            let _ = tx.send(Response::Result(ClassifyResult {
+                id: req.id,
+                fingerprint: key,
+                tower_fingerprint: summary.tower_fingerprint,
+                levels: summary.levels,
+                fixpoint: summary.fixpoint,
+                cached: true,
+                resumed_from_level: 0,
+                gave_up: None,
+            }));
+            return Ok(rx);
         }
         let mut queue = lock(&inner.queue);
         if queue.len() >= inner.config.queue_capacity {
@@ -570,30 +571,35 @@ fn run_job(inner: &Inner, job: &Job) {
             }
         }
         let snap = tower.snapshot();
-        if gave_up.is_none() {
+        let summary = if gave_up.is_none() {
             // Publish, then drop the checkpoint: the order matters — a
             // crash between the two leaves both, and resume is merely
             // redundant.
-            if let Err(e) = inner.store.put(&job.key, &snap) {
-                finish(inner, &job.key, |id| Response::Error {
-                    id,
-                    error: format!("publish failed: {e}"),
-                });
-                return;
+            match inner.store.put(&job.key, &snap) {
+                Ok(summary) => {
+                    let _ = inner.store.clear_checkpoint(&job.key);
+                    summary
+                }
+                Err(e) => {
+                    finish(inner, &job.key, |id| Response::Error {
+                        id,
+                        error: format!("publish failed: {e}"),
+                    });
+                    return;
+                }
             }
-            let _ = inner.store.clear_checkpoint(&job.key);
         } else {
             // Keep the checkpoint: a resubmission with a bigger budget
             // picks up where this attempt stopped.
             inner.counters.gave_up.fetch_add(1, Ordering::Relaxed);
-        }
+            TowerSummary::of(&snap)
+        };
         // Decide the terminal under the inflight lock: a deeper request
         // coalescing at this instant either raised the target before we
         // read it here (we keep building), or arrives after the entry
-        // is removed and hits the just-published snapshot instead.
+        // is removed and hits the just-published summary instead.
         let mut inflight = lock(&inner.inflight);
-        let achieved = (tower.level_count() - 1) / 2;
-        if gave_up.is_none() && achieved < job.target.load(Ordering::SeqCst) as usize {
+        if gave_up.is_none() && summary.derived_f < job.target.load(Ordering::SeqCst) {
             drop(inflight);
             continue;
         }
@@ -602,16 +608,16 @@ fn run_job(inner: &Inner, job: &Job) {
             .map(|entry| entry.subs)
             .unwrap_or_default();
         drop(inflight);
-        span.set(Counter::Steps, achieved as u64);
+        span.set(Counter::Steps, summary.derived_f);
         inner
             .registry
             .record("classify-job", Trace::new(span.finish()));
         let template = ClassifyResult {
             id: 0,
             fingerprint: job.key.clone(),
-            tower_fingerprint: snap.fingerprint(),
-            levels: tower.level_count() as u64,
-            fixpoint: fixpoint_from_snapshot(&snap),
+            tower_fingerprint: summary.tower_fingerprint,
+            levels: summary.levels,
+            fixpoint: summary.fixpoint,
             cached: false,
             resumed_from_level: resumed_from,
             gave_up,
@@ -623,37 +629,6 @@ fn run_job(inner: &Inner, job: &Job) {
             }));
         }
         return;
-    }
-}
-
-/// The earliest level the topmost level's extensional table repeats,
-/// read from the snapshot's per-level spans (counter `fixpoint-of`).
-fn fixpoint_from_snapshot(snap: &TowerSnapshot) -> Option<u64> {
-    snap.spans.iter().rev().find_map(|span| {
-        span.counters
-            .iter()
-            .find(|(name, _)| name == "fixpoint-of")
-            .map(|&(_, v)| v)
-    })
-}
-
-/// Derived `f`-rounds a stored tower contains: each `f = R̄ ∘ R` step
-/// adds two layers on top of the base level.
-fn snapshot_derived_f(snap: &TowerSnapshot) -> u64 {
-    (snap.layers.len() / 2) as u64
-}
-
-/// Builds the `cached: true` result a store hit is answered with.
-fn result_from_snapshot(id: u64, key: &str, snap: &TowerSnapshot) -> ClassifyResult {
-    ClassifyResult {
-        id,
-        fingerprint: key.to_string(),
-        tower_fingerprint: snap.fingerprint(),
-        levels: (snap.layers.len() + 1) as u64,
-        fixpoint: fixpoint_from_snapshot(snap),
-        cached: true,
-        resumed_from_level: 0,
-        gave_up: None,
     }
 }
 
@@ -775,6 +750,7 @@ mod tests {
         let (store, dir) = tmp_store("deepen");
         let server = ClassifyServer::start(store, ServiceConfig::default());
         let p = sinkless_orientation(3);
+        let key = canonical_key(&p);
         let rx = server.submit(&request(1, &p, 1)).unwrap();
         let shallow = match terminal(&rx) {
             Response::Result(r) => r,
@@ -782,6 +758,7 @@ mod tests {
         };
         assert!(!shallow.cached);
         assert_eq!(shallow.levels, 3);
+        assert_eq!(server.store().summary(&key).unwrap().derived_f, 1);
 
         // A deeper request must not be capped by the 1-step entry: it
         // deepens the published tower instead of echoing it.
@@ -796,6 +773,11 @@ mod tests {
             deep.resumed_from_level, 2,
             "deepening resumes from the published snapshot"
         );
+        // The publish replaced the summary: no stale depth-1 summary is
+        // left to serve a shallower tower.
+        let summary = server.store().summary(&key).unwrap();
+        assert_eq!(summary.derived_f, 2);
+        assert_eq!(summary.tower_fingerprint, deep.tower_fingerprint);
 
         // A shallow request is now served the deeper tower from cache.
         let rx = server.submit(&request(3, &p, 1)).unwrap();
@@ -810,6 +792,42 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.resumed, 1);
         server.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tampered_entry_keeps_hitting_but_fails_resume_and_reopen() {
+        let (store, dir) = tmp_store("tamper");
+        let server = ClassifyServer::start(Arc::clone(&store), ServiceConfig::default());
+        let p = sinkless_orientation(3);
+        let key = canonical_key(&p);
+        let built = match terminal(&server.submit(&request(1, &p, 1)).unwrap()) {
+            Response::Result(r) => r,
+            other => panic!("expected a result, got {other:?}"),
+        };
+        // Another writer overwrites the published entry behind the store.
+        std::fs::write(dir.join(format!("{key}.tower.json")), "garbage").unwrap();
+
+        // Hits answer from the summary admitted at publish time.
+        let hit = match terminal(&server.submit(&request(2, &p, 1)).unwrap()) {
+            Response::Result(r) => r,
+            other => panic!("expected a result, got {other:?}"),
+        };
+        assert!(hit.cached);
+        assert_eq!(hit.tower_fingerprint, built.tower_fingerprint);
+        assert_eq!(hit.levels, built.levels);
+        // The resume path reads the file and sees the corruption.
+        assert!(matches!(
+            store.get(&key),
+            Err(crate::store::StoreError::Corrupt { .. })
+        ));
+        server.shutdown();
+        drop(store);
+        // The next open quarantines the entry: left on disk, not served.
+        let reopened = TowerStore::open(&dir).unwrap();
+        assert_eq!(reopened.summary(&key), None);
+        assert!(dir.join(format!("{key}.tower.json")).exists());
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -948,7 +966,7 @@ mod tests {
         assert!(result.gave_up.is_some());
         // Partial towers are never published, but the checkpoint stays
         // for a future resubmission.
-        assert!(!store.contains(&key));
+        assert_eq!(store.summary(&key), None);
         assert!(store.load_checkpoint(&key).unwrap().is_some());
         assert_eq!(server.stats().gave_up, 1);
         server.shutdown();

@@ -16,6 +16,10 @@
 //! * **Validated admission.** [`TowerStore::open`] re-parses every
 //!   `*.tower.json` it finds and indexes only documents that decode
 //!   cleanly; anything else is quarantined (left on disk, never served).
+//!   The index keeps each admitted entry's [`TowerSummary`], all a hit
+//!   reads: an entry overwritten behind this single-writer store's back
+//!   keeps hitting from it, while the resume path's [`TowerStore::get`]
+//!   fails as [`StoreError::Corrupt`] and the next open quarantines it.
 //!
 //! Alongside final towers the store keeps *checkpoints*
 //! (`<key>.ckpt.json`): the latest partial tower of an in-flight build,
@@ -31,7 +35,7 @@
 //! accidental double-opens (two servers pointed at one directory), not
 //! against writers that bypass [`TowerStore`].
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -200,6 +204,31 @@ fn acquire_lock(dir: &Path) -> Result<LockGuard, StoreError> {
     }
 }
 
+/// What a cache hit reads off a published tower's snapshot.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct TowerSummary {
+    /// Derived `f`-rounds (each `f = R̄ ∘ R` adds two layers).
+    pub derived_f: u64,
+    /// Levels of the tower, the base included.
+    pub levels: u64,
+    /// The snapshot's structural [`TowerSnapshot::fingerprint`].
+    pub tower_fingerprint: String,
+    /// The topmost span's `fixpoint-of` counter (the level it repeats).
+    pub fixpoint: Option<u64>,
+}
+
+impl TowerSummary {
+    pub(crate) fn of(snap: &TowerSnapshot) -> Self {
+        let mut counters = snap.spans.iter().rev().flat_map(|span| &span.counters);
+        Self {
+            derived_f: (snap.layers.len() / 2) as u64,
+            levels: (snap.layers.len() + 1) as u64,
+            tower_fingerprint: snap.fingerprint(),
+            fixpoint: counters.find(|(n, _)| n == "fixpoint-of").map(|&(_, v)| v),
+        }
+    }
+}
+
 /// A content-addressed on-disk tower store. See the module docs for the
 /// layout and crash-safety invariants. All methods take `&self`; the
 /// in-memory index is behind a mutex, so one store can be shared across
@@ -207,7 +236,7 @@ fn acquire_lock(dir: &Path) -> Result<LockGuard, StoreError> {
 #[derive(Debug)]
 pub struct TowerStore {
     dir: PathBuf,
-    index: Mutex<BTreeSet<String>>,
+    index: Mutex<BTreeMap<String, TowerSummary>>,
     /// Held for the store's lifetime; released (removed) on drop.
     _lock: LockGuard,
 }
@@ -215,8 +244,8 @@ pub struct TowerStore {
 impl TowerStore {
     /// Opens (creating if needed) the store rooted at `dir`: takes the
     /// single-writer advisory lock, sweeps crash leftovers (`*.tmp`),
-    /// validates every published entry, and indexes the ones that
-    /// decode cleanly.
+    /// validates every published entry, and indexes the summaries of
+    /// the ones that decode cleanly.
     ///
     /// # Errors
     ///
@@ -229,7 +258,7 @@ impl TowerStore {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err("create store dir", &dir, e))?;
         let lock = acquire_lock(&dir)?;
-        let mut index = BTreeSet::new();
+        let mut index = BTreeMap::new();
         let entries = fs::read_dir(&dir).map_err(|e| io_err("read store dir", &dir, e))?;
         for entry in entries {
             let entry = entry.map_err(|e| io_err("read store dir entry", &dir, e))?;
@@ -246,8 +275,8 @@ impl TowerStore {
             if let Some(key) = name.strip_suffix(TOWER_SUFFIX) {
                 let text =
                     fs::read_to_string(&path).map_err(|e| io_err("read tower entry", &path, e))?;
-                if TowerSnapshot::parse(&text).is_ok() {
-                    index.insert(key.to_string());
+                if let Ok(snap) = TowerSnapshot::parse(&text) {
+                    index.insert(key.to_string(), TowerSummary::of(&snap));
                 }
             }
         }
@@ -273,14 +302,9 @@ impl TowerStore {
         self.lock_index().is_empty()
     }
 
-    /// Whether `key` has a published tower.
-    pub fn contains(&self, key: &str) -> bool {
-        self.lock_index().contains(key)
-    }
-
-    /// Every published key, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.lock_index().iter().cloned().collect()
+    /// The published summary for `key`, read from memory (no file).
+    pub fn summary(&self, key: &str) -> Option<TowerSummary> {
+        self.lock_index().get(key).cloned()
     }
 
     /// Loads the published tower for `key`, or `None` when the key is
@@ -291,7 +315,7 @@ impl TowerStore {
     /// [`StoreError::Io`] when the entry cannot be read,
     /// [`StoreError::Corrupt`] when an indexed entry no longer decodes.
     pub fn get(&self, key: &str) -> Result<Option<TowerSnapshot>, StoreError> {
-        if !self.contains(key) {
+        if !self.lock_index().contains_key(key) {
             return Ok(None);
         }
         let path = self.tower_path(key);
@@ -306,15 +330,16 @@ impl TowerStore {
     }
 
     /// Publishes `snap` as the tower for `key` (atomically: temp file +
-    /// rename) and indexes it. Overwrites any previous entry.
+    /// rename) and returns its summary, replacing any previous entry's.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when the write or rename fails.
-    pub fn put(&self, key: &str, snap: &TowerSnapshot) -> Result<(), StoreError> {
+    pub fn put(&self, key: &str, snap: &TowerSnapshot) -> Result<TowerSummary, StoreError> {
         self.write_atomic(&self.tower_path(key), &snap.to_json())?;
-        self.lock_index().insert(key.to_string());
-        Ok(())
+        let summary = TowerSummary::of(snap);
+        self.lock_index().insert(key.to_string(), summary.clone());
+        Ok(summary)
     }
 
     /// Persists the in-flight partial tower for `key`. Checkpoints are
@@ -369,7 +394,7 @@ impl TowerStore {
         self.dir.join(format!("{key}{CKPT_SUFFIX}"))
     }
 
-    fn lock_index(&self) -> std::sync::MutexGuard<'_, BTreeSet<String>> {
+    fn lock_index(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, TowerSummary>> {
         self.index
             .lock()
             .expect("why: no store method can panic while holding the index lock")
@@ -391,7 +416,7 @@ impl TowerStore {
 mod tests {
     use super::*;
     use lcl_core::{ReOptions, ReTower};
-    use lcl_problems::catalog::sinkless_orientation;
+    use lcl_problems::catalog::{k_coloring, sinkless_orientation};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -412,10 +437,54 @@ mod tests {
         let store = TowerStore::open(&dir).unwrap();
         let snap = small_tower().snapshot();
         store.put("00aa", &snap).unwrap();
-        assert!(store.contains("00aa"));
+        assert!(store.summary("00aa").is_some());
         let loaded = store.get("00aa").unwrap().unwrap();
         assert_eq!(loaded.to_json(), snap.to_json());
         assert_eq!(store.get("ffff").unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What `get(key)` implies for a hit, read through the tower the
+    /// snapshot resumes into rather than through `TowerSummary::of`.
+    fn implied_by_get(store: &TowerStore, key: &str) -> TowerSummary {
+        let tower = ReTower::resume_from(&store.get(key).unwrap().unwrap()).unwrap();
+        let top = tower.level_count() - 1;
+        TowerSummary {
+            derived_f: (top / 2) as u64,
+            levels: tower.level_count() as u64,
+            tower_fingerprint: tower.fingerprint(),
+            fixpoint: (1..=top)
+                .rev()
+                .find_map(|level| tower.fixpoint_of(level))
+                .map(|l| l as u64),
+        }
+    }
+
+    #[test]
+    fn summaries_match_what_get_implies_after_put_and_cold_reopen() {
+        let dir = tmp_dir("summary");
+        // Sinkless orientation's level 1 repeats the base table, so its
+        // spans carry `fixpoint-of`; 3-coloring's one f-step does not.
+        let mut coloring = ReTower::new(k_coloring(3, 3));
+        coloring.push_f(ReOptions::default()).unwrap();
+        let towers = [("00aa", small_tower()), ("00bb", coloring)];
+        {
+            let store = TowerStore::open(&dir).unwrap();
+            for (key, tower) in &towers {
+                let published = store.put(key, &tower.snapshot()).unwrap();
+                assert_eq!(store.summary(key), Some(published));
+                assert_eq!(store.summary(key).unwrap(), implied_by_get(&store, key));
+            }
+            assert_eq!(store.summary("00aa").unwrap().fixpoint, Some(0));
+            assert_eq!(store.summary("00bb").unwrap().fixpoint, None);
+            assert_eq!(store.summary("ffff"), None);
+        }
+        let cold = TowerStore::open(&dir).unwrap();
+        for (key, tower) in &towers {
+            let summary = cold.summary(key).unwrap();
+            assert_eq!(summary, implied_by_get(&cold, key));
+            assert_eq!(summary.tower_fingerprint, tower.fingerprint());
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -434,7 +503,8 @@ mod tests {
         drop(store);
 
         let reopened = TowerStore::open(&dir).unwrap();
-        assert_eq!(reopened.keys(), vec!["00aa".to_string()]);
+        assert_eq!(reopened.len(), 1);
+        assert!(reopened.summary("00aa").is_some());
         assert_eq!(reopened.get("00bb").unwrap(), None);
         assert_eq!(reopened.get("00cc").unwrap(), None);
         // The temp file was swept; the undecodable entry is quarantined
@@ -468,7 +538,7 @@ mod tests {
         let snap = small_tower().snapshot();
         store.checkpoint("00aa", &snap).unwrap();
         // A checkpoint is not a published tower.
-        assert!(!store.contains("00aa"));
+        assert_eq!(store.summary("00aa"), None);
         assert_eq!(store.get("00aa").unwrap(), None);
         let resumed = store.load_checkpoint("00aa").unwrap().unwrap();
         assert_eq!(resumed.to_json(), snap.to_json());
@@ -554,7 +624,7 @@ mod tests {
         let future = text.replacen("\"version\":1", "\"version\":7", 1);
         fs::write(dir.join("00aa.tower.json"), future).unwrap();
         let reopened = TowerStore::open(&dir).unwrap();
-        assert!(!reopened.contains("00aa"));
+        assert_eq!(reopened.summary("00aa"), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 }
