@@ -15,12 +15,20 @@
 //!   *flexible* state (one whose closed-walk lengths have gcd 1) yields
 //!   `Θ(log* n)`, anything else is global (`Θ(n)`) or solvable for only
 //!   finitely many sizes;
-//! * [`solvable_cycle_lengths_up_to`] — the per-`n` solvability table.
+//! * [`solvable_cycle_lengths_up_to`] — the per-`n` solvability table;
+//! * [`synthesize_cycle`] / [`synthesize_path()`] — the constructive side:
+//!   a self-loop becomes a constant tiling on cycles, and a flexible state
+//!   becomes a `Θ(log* n)` anchor-and-fill algorithm. Both front-ends run
+//!   one private core (one walk table, one Cole–Vishkin window, one
+//!   segment emitter); the cycle front-end adds only the constant tiling,
+//!   the path front-end only its prefix/suffix/exact walk tables, the
+//!   anchor suppression near endpoints and the last node's label.
 //!
 //! Combined with the main theorem of the paper (no complexities strictly
 //! between `ω(1)` and `o(log* n)` on trees), these procedures settle the
 //! full landscape for the path/cycle slice exactly.
 
+mod anchor;
 pub mod automaton;
 pub mod classify;
 pub mod synthesize;

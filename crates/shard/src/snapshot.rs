@@ -14,8 +14,11 @@
 //! `SyncAlgorithm::State` is an opaque type parameter with no wire
 //! format, so the JSON carries the structural metadata (who, where,
 //! when, and how much halo traffic had flowed) while the state image
-//! lives beside it in memory. A future cross-process shard runner
-//! would add a state codec on top of this envelope; see `ROADMAP.md`.
+//! lives beside it in memory. The cross-process runner
+//! (`lcl_procshard`) needs no state codec either: it rehydrates a
+//! killed worker by replaying its command history and checks that the
+//! replayed worker's last snapshot is byte-identical to the one the
+//! dead worker shipped.
 
 use std::fmt;
 

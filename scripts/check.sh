@@ -44,6 +44,13 @@ echo "== recovery soak (repair closes the loop; supervised resume is determinist
 # at 1/2/8 threads. Release-only for the same reason as the chaos soak.
 cargo test -q --release --test recovery -- --include-ignored
 
+echo "== long-instance soak (anchor-and-fill windows that see only part of the graph) =="
+# Every synthesized cycle and path algorithm of the catalogue and of 200
+# seeded random degree-2 problems must verify at n > 2 * radius(n) + 1,
+# where no window wraps around the cycle or sees both path ends.
+# Release-only: about 3 s there against about 18 s in debug.
+cargo test -q --release -p lcl-classify --test long_instances -- --include-ignored
+
 echo "== shard chaos soak (whole-shard loss: retry -> resume -> repair -> degrade) =="
 # 50 seeds x (crash 2 of 8 shards at superstep 0) on the synthesized E1
 # pipeline at the tight round budget, across 1/2/8 runner threads, plus
