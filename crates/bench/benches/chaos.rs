@@ -1,6 +1,7 @@
 //! `cargo bench -p lcl-bench --bench chaos` — the chaos-soak stage:
-//! faulted-entrypoint throughput under random fault plans. Writes no
-//! baseline JSON; the committed `BENCH_*.json` files are untouched.
+//! faulted-entrypoint throughput over the chaos soak's own instances and
+//! random fault plans. Writes no baseline JSON; the committed
+//! `BENCH_*.json` files are untouched.
 
 fn main() {
     let t0 = std::time::Instant::now();

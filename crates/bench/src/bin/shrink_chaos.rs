@@ -1,326 +1,58 @@
 //! `shrink-chaos <local|volume|lca|prod|shard|proc> <seed>` — bisect a
 //! failing chaos seed to a minimal reproducing [`FaultPlan`].
 //!
-//! The tool regenerates the chaos instance for `(model, seed)` exactly
-//! as the soak does (same graph, ids, and random plan), defines
-//! "reproduces" as *the faulted run degrades or its labeling diverges
-//! from the fault-free run*, and greedily shrinks the plan
-//! ([`lcl_bench::shrink::shrink_plan`]) until no single fault (nor the
-//! adversarial ID permutation) can be dropped. It prints both plans in
-//! the `FaultPlan::to_text` wire format, ready to paste into a
-//! regression test. `scripts/shrink_chaos.sh` wraps it.
+//! Argument parsing over [`lcl_bench::chaos::shrink`]: the instance and
+//! its random plan come from the chaos table the chaos soak draws from,
+//! so `local`, `volume`, `lca` and `prod` rebuild the soak's run for the
+//! seed. Both plans print in the `FaultPlan::to_text` wire format, ready
+//! to paste into a regression test; `scripts/shrink_chaos.sh` wraps it.
+//! The `shard` plan adds whole-shard losses and the `proc` plan real
+//! `SIGKILL`s (kills are output-transparent, so they reproduce through
+//! the fault record); `proc` needs a `shard-worker` binary next to this
+//! one. A failing fault-free run prints its error and exits non-zero.
 //!
-//! The `shard` model runs on the sharded substrate and seeds the plan
-//! with node faults *plus* whole-shard losses, so the shrinker bisects
-//! across both kinds — typically discovering that one `crash-shard`
-//! directive alone reproduces the degradation.
-//!
-//! The `proc` model runs on the process-per-shard substrate
-//! ([`lcl_procshard`]) and seeds the plan with node faults *plus*
-//! `kill-shard` directives — real `SIGKILL`s to worker processes.
-//! Because kills are output-transparent (the supervisor respawns and
-//! replays the victim), they reproduce through the fault record, and
-//! the shrinker typically lands on a single `kill-shard` directive.
-//! Needs `target/<profile>/shard-worker` next to the binary: run
-//! `cargo build --release` first.
+//! [`FaultPlan`]: lcl_faults::FaultPlan
 
 use std::env;
 use std::process::ExitCode;
 
-use lcl::{uniform_input, HalfEdgeLabeling, OutLabel};
-use lcl_bench::shrink::shrink_plan;
-use lcl_faults::{FaultPlan, RunOptions};
-use lcl_graph::{gen, Graph, HalfEdgeId};
-use lcl_grid::{FnProdAlgorithm, OrientedGrid, ProdIds};
-use lcl_local::{simulate_sync_with, IdAssignment};
-use lcl_problems::DeltaPlusOne;
-use lcl_procshard::{run_proc_sharded, AlgSpec, GraphSpec, InputSpec, ProcJob, ProcOptions};
-use lcl_rng::SmallRng;
-use lcl_volume::lca::VolumeAsLca;
-use lcl_volume::{
-    simulate_lca_with, simulate_with as simulate_volume_with, FnVolumeAlgorithm, ProbeSession,
-};
-
-fn labeling_fp(g: &Graph, out: &HalfEdgeLabeling<OutLabel>) -> String {
-    (0..g.half_edge_count() as u32)
-        .map(|h| out.get(HalfEdgeId(h)).0.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-#[allow(clippy::type_complexity)] // `impl Trait` closure types cannot be aliased
-fn neighbor_probe_alg() -> FnVolumeAlgorithm<
-    impl Fn(usize) -> usize,
-    impl Fn(&mut ProbeSession<'_>) -> Result<Vec<OutLabel>, lcl_volume::ProbeError>,
-> {
-    FnVolumeAlgorithm::new(
-        "chaos-neighbor",
-        |_| 2,
-        |s| {
-            let d = s.queried().degree as usize;
-            let n0 = s.probe(0, 0)?;
-            Ok(vec![OutLabel((n0.id % 97) as u32); d])
-        },
-    )
-}
-
-/// The node count of the chaos instance for `(model, seed)` — the same
-/// seeded derivation the run functions use, needed up front to draw the
-/// initial random plan.
-fn instance_size(model: &str, seed: u64) -> Option<usize> {
-    match model {
-        "local" => {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            Some(rng.gen_range(16usize..64))
-        }
-        "volume" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
-            Some(rng.gen_range(4usize..24))
-        }
-        "lca" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-            Some(rng.gen_range(8usize..48))
-        }
-        "prod" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xfeed);
-            let a = rng.gen_range(4usize..9);
-            let b = rng.gen_range(4usize..9);
-            Some(a * b)
-        }
-        "shard" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5a4d);
-            Some(rng.gen_range(24usize..96))
-        }
-        "proc" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x9c0c);
-            Some(rng.gen_range(24usize..96))
-        }
-        _ => None,
-    }
-}
-
-/// How many shards the `shard` model partitions its instance into.
-const SHRINK_SHARDS: usize = 4;
-
-/// Runs the chaos instance for `(model, seed)` under `plan`; returns
-/// whether the run degraded and the output fingerprint.
-fn run(model: &str, seed: u64, plan: &FaultPlan) -> (bool, String) {
-    match model {
-        "local" => {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let n = rng.gen_range(16usize..64);
-            let g = gen::random_tree(n, 3, seed);
-            let input = uniform_input(&g);
-            let ids: Vec<u64> = IdAssignment::random_polynomial(n, 3, seed ^ 1)
-                .iter()
-                .collect();
-            let report = simulate_sync_with(
-                &DeltaPlusOne { delta: 3 },
-                &g,
-                &input,
-                &ids,
-                None,
-                1000,
-                RunOptions::new().faults(plan),
-            );
-            (
-                report.outcome.is_degraded(),
-                labeling_fp(&g, &report.outcome.outcome.output),
-            )
-        }
-        "volume" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
-            let n = rng.gen_range(4usize..24);
-            let g = gen::cycle(n);
-            let input = uniform_input(&g);
-            let ids = IdAssignment::random_polynomial(n, 3, seed ^ 2);
-            let report = simulate_volume_with(
-                &neighbor_probe_alg(),
-                &g,
-                &input,
-                &ids,
-                None,
-                RunOptions::new().faults(plan),
-            )
-            .expect("faulted runs degrade instead of erroring");
-            (
-                report.outcome.is_degraded(),
-                labeling_fp(&g, &report.outcome.outcome.output),
-            )
-        }
-        "lca" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-            let n = rng.gen_range(8usize..48);
-            let g = gen::path(n);
-            let input = uniform_input(&g);
-            let ids = IdAssignment::from_vec((1..=n as u64).collect());
-            let report = simulate_lca_with(
-                &VolumeAsLca(neighbor_probe_alg()),
-                &g,
-                &input,
-                &ids,
-                RunOptions::new().faults(plan),
-            )
-            .expect("faulted runs degrade instead of erroring");
-            (
-                report.outcome.is_degraded(),
-                labeling_fp(&g, &report.outcome.outcome.output),
-            )
-        }
-        "prod" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xfeed);
-            let a = rng.gen_range(4usize..9);
-            let b = rng.gen_range(4usize..9);
-            let grid = OrientedGrid::new(&[a, b]);
-            let ids = ProdIds::sequential(&grid);
-            let input = uniform_input(grid.graph());
-            let alg = FnProdAlgorithm::new(
-                "chaos-echo",
-                |_| 1,
-                |view: &lcl_grid::GridView| {
-                    vec![OutLabel((view.id(0, -1) % 97) as u32); 2 * view.d]
-                },
-            );
-            let report = lcl_grid::simulate_with(
-                &alg,
-                &grid,
-                &input,
-                &ids,
-                None,
-                RunOptions::new().faults(plan),
-            );
-            (
-                report.outcome.is_degraded(),
-                labeling_fp(grid.graph(), &report.outcome.outcome.output),
-            )
-        }
-        "shard" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5a4d);
-            let n = rng.gen_range(24usize..96);
-            let g = gen::random_tree(n, 3, seed);
-            let input = uniform_input(&g);
-            let ids: Vec<u64> = IdAssignment::random_polynomial(n, 3, seed ^ 3)
-                .iter()
-                .collect();
-            let report = lcl_shard::simulate_sharded_with(
-                &DeltaPlusOne { delta: 3 },
-                &g,
-                &input,
-                &ids,
-                None,
-                1000,
-                2,
-                RunOptions::new().faults(plan).sharded(SHRINK_SHARDS),
-            );
-            (
-                report.outcome.is_degraded(),
-                labeling_fp(&g, &report.outcome.outcome.output),
-            )
-        }
-        "proc" => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x9c0c);
-            let n = rng.gen_range(24usize..96);
-            let g = gen::random_tree(n, 3, seed);
-            let ids: Vec<u64> = IdAssignment::random_polynomial(n, 3, seed ^ 3)
-                .iter()
-                .collect();
-            let job = ProcJob {
-                graph: GraphSpec::RandomTree {
-                    n,
-                    max_degree: 3,
-                    seed,
-                },
-                alg: AlgSpec::GuardedFlood { k: 3 },
-                input: InputSpec::Uniform,
-                ids,
-                n_announced: None,
-                max_rounds: 10,
-            };
-            match run_proc_sharded(
-                &job,
-                RunOptions::new().faults(plan).sharded(SHRINK_SHARDS),
-                &ProcOptions::default(),
-            ) {
-                Ok(report) => (
-                    report.outcome.is_degraded(),
-                    labeling_fp(&g, &report.outcome.outcome.output),
-                ),
-                // A run the supervisor could not finish (respawn budget
-                // exhausted, protocol breakage) certainly reproduces.
-                Err(e) => (true, format!("error: {e}")),
-            }
-        }
-        other => {
-            // `main` validated the model name before calling.
-            unreachable_model(other)
-        }
-    }
-}
-
-fn unreachable_model(model: &str) -> ! {
-    eprintln!("internal error: unvalidated model {model}");
-    std::process::exit(2);
-}
-
-/// "Reproduces" = the run degrades, or its labeling diverges from the
-/// fault-free run under the same ID permutation.
-fn reproduces(model: &str, seed: u64, plan: &FaultPlan) -> bool {
-    let (degraded, fp) = run(model, seed, plan);
-    if degraded {
-        return true;
-    }
-    let mut clean = FaultPlan::new(plan.seed());
-    if plan.permutes_ids() {
-        clean = clean.with_permuted_ids();
-    }
-    let (_, clean_fp) = run(model, seed, &clean);
-    fp != clean_fp
-}
+use lcl_bench::chaos::{shrink, Model};
+use lcl_procshard::ProcOptions;
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().collect();
-    if args.len() != 3 {
+    let [_, model, seed] = args.as_slice() else {
         eprintln!("usage: shrink-chaos <local|volume|lca|prod|shard|proc> <seed>");
         return ExitCode::FAILURE;
-    }
-    let model = args[1].as_str();
-    let seed: u64 = match args[2].parse() {
-        Ok(s) => s,
-        Err(_) => {
-            eprintln!("seed must be a non-negative integer, got {:?}", args[2]);
-            return ExitCode::FAILURE;
-        }
     };
-    let Some(n) = instance_size(model, seed) else {
+    let Ok(seed) = seed.parse::<u64>() else {
+        eprintln!("seed must be a non-negative integer, got {seed:?}");
+        return ExitCode::FAILURE;
+    };
+    let Some(model) = Model::parse(model) else {
         eprintln!("unknown model {model:?}; expected local, volume, lca, prod, shard, or proc");
         return ExitCode::FAILURE;
     };
+    let shrunk = match shrink(model, seed, &ProcOptions::default()) {
+        Ok(shrunk) => shrunk,
+        Err(e) => {
+            eprintln!("shrink-chaos: the fault-free run failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
-    let mut plan = FaultPlan::random(seed, n, 4);
-    if model == "shard" {
-        // Seed whole-shard losses alongside the node faults so the
-        // shrinker bisects across both kinds.
-        for &fault in FaultPlan::random_shard_chaos(seed, SHRINK_SHARDS, 2, 2).faults() {
-            plan = plan.with(fault);
-        }
-    }
-    if model == "proc" {
-        // Seed real SIGKILLs alongside the node faults so the shrinker
-        // bisects across both kinds.
-        for &fault in FaultPlan::random_kill_chaos(seed, SHRINK_SHARDS, 2, 2).faults() {
-            plan = plan.with(fault);
-        }
-    }
-    println!("model {model}, seed {seed}, {n} nodes");
+    let plan = model.plan(seed);
+    println!(
+        "model {}, seed {seed}, {} nodes",
+        model.name(),
+        model.size(seed)
+    );
     println!("-- original plan ({} faults) --", plan.faults().len());
     print!("{}", plan.to_text());
-
-    if !reproduces(model, seed, &plan) {
+    let Some(shrunk) = shrunk else {
         println!("-- plan does not reproduce (run is clean); nothing to shrink --");
         return ExitCode::SUCCESS;
-    }
-
-    let shrunk = shrink_plan(&plan, |p| reproduces(model, seed, p));
+    };
     println!(
         "-- shrunk plan ({} faults, permute-ids {}) --",
         shrunk.faults().len(),

@@ -45,8 +45,11 @@
 //!   SIGKILL-respawn-rehydrate scenario, written to
 //!   `BENCH_procshard.json` (`--bench procshard`; needs
 //!   `target/release/shard-worker`, so `cargo build --release` first).
-//! * [`shrink::shrink_plan`] — the chaos-seed shrinker behind the
-//!   `shrink-chaos` binary (`scripts/shrink_chaos.sh`).
+//! * [`chaos`] — the chaos table: every fault-injection instance,
+//!   built from `(model, seed)`, drawn by the chaos soak, the
+//!   `--bench chaos` stage and the `shrink-chaos` binary
+//!   (`scripts/shrink_chaos.sh`), whose work is [`chaos::shrink`] over
+//!   the greedy plan shrinker [`shrink::shrink_plan`].
 //!
 //! `cargo bench -p lcl-bench` runs every bench, and each committed
 //! baseline has exactly one producer: `--bench figures` prints the

@@ -33,9 +33,10 @@ use crate::cells;
 use crate::report::Report;
 use crate::table::Table;
 
-/// Path LCL: endpoints label E, internal nodes I; X is never valid, so
-/// corruption-induced X labels surface as verifier violations.
-fn endpoints_problem() -> LclProblem {
+/// Path LCL solved by [`threshold_alg`]: endpoints label E, internal
+/// nodes I; X is never valid, so corruption-induced X labels surface as
+/// verifier violations. Shared with the recovery tests.
+pub fn endpoints_problem() -> LclProblem {
     LclProblem::builder("endpoints", 2)
         .outputs(["E", "I", "X"])
         .node_pattern(&["E"])
@@ -46,11 +47,12 @@ fn endpoints_problem() -> LclProblem {
         .expect("why: the endpoints description is a fixed, valid LCL")
 }
 
-/// Solves [`endpoints_problem`] on a path with ids `1..=n` — unless a
-/// corrupted view hands it an out-of-range id, which betrays itself as
-/// the invalid label X.
+/// Solves [`endpoints_problem`] on a path with ids `1..=n` from the
+/// queried node alone — unless a corrupted view hands it an id beyond
+/// `n`, which it trusts and betrays as the invalid label X (silent
+/// corruption becomes visible damage).
 #[allow(clippy::type_complexity)] // `impl Trait` closure types cannot be aliased
-fn threshold_alg(
+pub fn threshold_alg(
     n: u64,
 ) -> FnVolumeAlgorithm<
     impl Fn(usize) -> usize,

@@ -15,11 +15,14 @@
 //!    round-elimination tower interrupted by a budget breach or a panic
 //!    serializes to JSON and resumes bit-identically — the supervisor
 //!    uses this to never repeat completed levels.
-//! 3. **Retry supervisor** ([`Supervisor`], [`supervise_tower`]):
-//!    drives fallible stages through deterministic, recorded backoff and
-//!    escalating [`lcl_faults::Budget`]s, emitting `Event::Retry` /
-//!    `Event::Checkpoint` and the `retries` / `checkpoints` /
-//!    `repairs` / `repaired-nodes` counters.
+//! 3. **Retry supervisor** ([`supervise_tower_from`], with
+//!    [`supervise_tower`] starting from a fresh base): drives a tower
+//!    build through deterministic, recorded backoff and escalating
+//!    [`lcl_faults::Budget`]s under a [`RetryPolicy`], emitting
+//!    `Event::Retry` / `Event::Checkpoint` and the `retries` /
+//!    `checkpoints` counters (the repair layer adds `repairs` /
+//!    `repaired-nodes`). The procshard supervisor reuses
+//!    [`RetryPolicy`]'s backoff schedule for worker respawns.
 //!
 //! The repair algorithm leans on the paper's node-edge-checkable normal
 //! form (Definition 2.4): because validity is checkable per node and per
@@ -40,5 +43,5 @@ pub use models::{
     repair_volume_degraded, ModelRepair,
 };
 pub use supervisor::{
-    supervise_tower, supervise_tower_from, RetryPolicy, StageError, Supervisor, TowerRecovery,
+    supervise_tower, supervise_tower_from, RetryPolicy, StageError, TowerRecovery,
 };

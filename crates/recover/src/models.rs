@@ -255,50 +255,13 @@ pub fn repair_prod_degraded<P: Problem + ?Sized>(
 mod tests {
     use super::*;
     use lcl::{uniform_input, LclProblem};
+    use lcl_bench::recover_report::{endpoints_problem, threshold_alg};
     use lcl_faults::Fault;
     use lcl_graph::gen;
     use lcl_grid::FnProdAlgorithm;
     use lcl_problems::{k_coloring, DeltaPlusOne};
     use lcl_volume::lca::VolumeAsLca;
-    use lcl_volume::{FnVolumeAlgorithm, ProbeError, ProbeSession};
-
-    /// Path LCL: endpoints label E, internal nodes I; X is never valid.
-    fn endpoints_problem() -> LclProblem {
-        LclProblem::builder("endpoints", 2)
-            .outputs(["E", "I", "X"])
-            .node_pattern(&["E"])
-            .node_pattern(&["I*"])
-            .edge(&["E", "I"])
-            .edge(&["I", "I"])
-            .build()
-            .unwrap()
-    }
-
-    /// Solves [`endpoints_problem`] on a path with ids `1..=n` — unless a
-    /// corrupted view hands it an out-of-range id, which betrays itself
-    /// as the invalid label X.
-    #[allow(clippy::type_complexity)] // `impl Trait` closure types cannot be aliased
-    fn threshold_alg(
-        n: u64,
-    ) -> FnVolumeAlgorithm<
-        impl Fn(usize) -> usize,
-        impl Fn(&mut ProbeSession<'_>) -> Result<Vec<OutLabel>, ProbeError>,
-    > {
-        FnVolumeAlgorithm::new(
-            "threshold",
-            |_| 1,
-            move |s| {
-                let d = s.queried().degree as usize;
-                if s.queried().id > n {
-                    Ok(vec![OutLabel(2); d])
-                } else if d == 1 {
-                    Ok(vec![OutLabel(0)])
-                } else {
-                    Ok(vec![OutLabel(1); d])
-                }
-            },
-        )
-    }
+    use lcl_volume::{FnVolumeAlgorithm, ProbeSession};
 
     #[test]
     fn sync_crash_damage_repairs_to_a_certified_coloring() {

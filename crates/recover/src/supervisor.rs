@@ -1,12 +1,12 @@
-//! Retry supervisor: deterministic backoff, escalating budgets, and
-//! checkpointed re-execution for fallible stages.
+//! Retry supervisor for round-elimination tower builds: deterministic
+//! backoff, escalating budgets, and checkpointed re-execution.
 //!
-//! The policy lattice is *retry → resume → repair → degrade*: a stage
-//! that breaches its [`Budget`] is retried under an escalated budget; a
-//! round-elimination tower that was interrupted mid-build resumes from
-//! its serialized [`TowerSnapshot`] instead of restarting from the base
-//! problem; and only when the attempt budget is exhausted does the
-//! caller get a typed [`StageError`] (or, for model runs, a
+//! The policy lattice is *retry → resume → repair → degrade*: a tower
+//! step that breaches its [`Budget`] is retried under an escalated
+//! budget ([`RetryPolicy`]); a tower that was interrupted mid-build
+//! resumes from its serialized [`TowerSnapshot`] instead of restarting
+//! from the base problem; and only when the attempt budget is exhausted
+//! does the caller get a typed [`StageError`] (or, for model runs, a
 //! [`crate::RepairFailed`]). Backoff delays are *recorded* — emitted as
 //! [`Event::Retry`] with a deterministic, seed-derived duration — but
 //! never slept, so supervised runs stay reproducible and fast.
@@ -19,8 +19,10 @@ use lcl_faults::{isolate, Budget};
 use lcl_obs::{Counter, Event, EventLog, Span, Trace};
 use lcl_rng::SmallRng;
 
-/// How a [`Supervisor`] retries: attempt cap, budget escalation factor,
-/// and the seed behind the deterministic backoff jitter.
+/// How [`supervise_tower`] retries a failed step: attempt cap, budget
+/// escalation factor, and the seed behind the deterministic backoff
+/// jitter. The procshard supervisor reuses its backoff schedule for
+/// worker respawns.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RetryPolicy {
     /// Attempts per stage before giving up (at least 1 is always made).
@@ -80,63 +82,6 @@ impl<E: fmt::Display> fmt::Display for StageError<E> {
 }
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for StageError<E> {}
-
-/// Drives a fallible stage through retry with escalating budgets.
-///
-/// Each attempt runs panic-isolated ([`isolate`]), so a panicking stage
-/// is converted into a retryable [`StageError::Panic`] instead of
-/// unwinding through the caller.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Supervisor {
-    /// The retry policy applied to every stage this supervisor runs.
-    pub policy: RetryPolicy,
-}
-
-impl Supervisor {
-    /// A supervisor with the given policy.
-    pub fn new(policy: RetryPolicy) -> Self {
-        Self { policy }
-    }
-
-    /// Runs `attempt` up to [`RetryPolicy::max_attempts`] times, passing
-    /// the 1-based attempt number and the budget for that attempt
-    /// (escalated by [`RetryPolicy::escalation`] after each failure).
-    /// Emits [`Event::Retry`] into `log` between attempts.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's [`StageError`] when every attempt failed or
-    /// panicked.
-    pub fn run<T, E>(
-        &self,
-        stage: &str,
-        initial: Budget,
-        log: Option<&EventLog>,
-        mut attempt: impl FnMut(u32, &Budget) -> Result<T, E>,
-    ) -> Result<T, StageError<E>> {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut budget = initial;
-        let mut last = None;
-        for a in 1..=attempts {
-            match isolate(|| attempt(a, &budget)) {
-                Ok(Ok(value)) => return Ok(value),
-                Ok(Err(e)) => last = Some(StageError::Failed(e)),
-                Err(payload) => last = Some(StageError::Panic(payload)),
-            }
-            if a < attempts {
-                if let Some(log) = log {
-                    log.record(Event::Retry {
-                        stage: stage.to_string(),
-                        attempt: u64::from(a),
-                        backoff_ms: self.policy.backoff_ms(a),
-                    });
-                }
-                budget = budget.escalate(self.policy.escalation);
-            }
-        }
-        Err(last.expect("why: attempts >= 1, so at least one attempt ran and failed"))
-    }
-}
 
 /// A supervised tower build: the (possibly partial) tower, whether and
 /// why the supervisor gave up, and the recovery accounting.
@@ -304,73 +249,6 @@ mod tests {
         };
         // Different seeds jitter differently somewhere in the schedule.
         assert!((1..=6).any(|a| other.backoff_ms(a) != policy.backoff_ms(a)));
-    }
-
-    #[test]
-    fn run_retries_through_panics_and_succeeds() {
-        let supervisor = Supervisor::new(RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        });
-        let log = EventLog::new(16);
-        let mut calls = 0u32;
-        let out: Result<u32, StageError<&str>> =
-            supervisor.run("flaky", Budget::unlimited(), Some(&log), |attempt, _| {
-                calls += 1;
-                assert!(attempt >= 1, "attempt numbers are 1-based");
-                if attempt < 3 {
-                    lcl_faults::inject_panic(u64::from(attempt));
-                }
-                Ok(attempt)
-            });
-        assert_eq!(out.unwrap(), 3);
-        assert_eq!(calls, 3);
-        let retries: Vec<_> = log
-            .events()
-            .into_iter()
-            .filter(|e| e.kind() == "retry")
-            .collect();
-        assert_eq!(retries.len(), 2);
-    }
-
-    #[test]
-    fn run_gives_up_with_the_typed_error_after_max_attempts() {
-        let supervisor = Supervisor::new(RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        });
-        let mut calls = 0u32;
-        let out: Result<(), StageError<&str>> =
-            supervisor.run("doomed", Budget::unlimited(), None, |_, _| {
-                calls += 1;
-                Err("nope")
-            });
-        assert_eq!(out.unwrap_err(), StageError::Failed("nope"));
-        assert_eq!(calls, 2);
-    }
-
-    #[test]
-    fn run_escalates_the_budget_between_attempts() {
-        let supervisor = Supervisor::new(RetryPolicy {
-            max_attempts: 3,
-            escalation: 2,
-            ..RetryPolicy::default()
-        });
-        let mut seen = Vec::new();
-        let out: Result<(), StageError<&str>> = supervisor.run(
-            "budgeted",
-            Budget::unlimited().with_max_labels(10),
-            None,
-            |_, budget| {
-                seen.push(*budget);
-                Err("still too small")
-            },
-        );
-        assert!(out.is_err());
-        assert_eq!(seen.len(), 3);
-        assert_eq!(seen[0], Budget::unlimited().with_max_labels(10));
-        assert_eq!(seen[1], Budget::unlimited().with_max_labels(20));
-        assert_eq!(seen[2], Budget::unlimited().with_max_labels(40));
     }
 
     #[test]

@@ -7,6 +7,15 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== shrink-chaos (each model's seed-1 plan shrinks, or the run is reported clean) =="
+# `cargo test` never runs a binary's main, so this is the one step that
+# runs the shrinker end to end: once per model, on the release build
+# above (the proc model spawns its shard-worker). A non-zero exit, such
+# as a fault-free run that fails, fails the gate.
+for model in local volume lca prod shard proc; do
+  target/release/shrink-chaos "$model" 1 > /dev/null
+done
+
 echo "== cargo test --release =="
 cargo test -q --release
 

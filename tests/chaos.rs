@@ -4,24 +4,21 @@
 //! never a panic — and that outcomes are a bit-identical function of
 //! `(seed, plan)`, including across engine thread counts.
 //!
+//! Every instance and its plan come from the chaos table
+//! (`lcl_bench::chaos`), so `shrink-chaos <model> <seed>` rebuilds the
+//! exact run a failing seed made here.
+//!
 //! The small smoke test always runs; the big soak is `#[ignore]`d and
 //! driven by `scripts/check.sh` via `--include-ignored` in release mode.
 
 use lcl_rng::SmallRng;
 
+use lcl_bench::chaos::Model;
 use lcl_landscape::core::{ReError, ReOptions, ReTower};
-use lcl_landscape::faults::{Budget, FaultPlan, RunOptions};
-use lcl_landscape::graph::{gen, Graph, HalfEdgeId};
-use lcl_landscape::grid::{
-    simulate_with as simulate_prod_with, FnProdAlgorithm, OrientedGrid, ProdIds,
-};
-use lcl_landscape::lcl::{uniform_input, verify, HalfEdgeLabeling, OutLabel};
-use lcl_landscape::local::{simulate_sync_with, IdAssignment};
-use lcl_landscape::problems::{anti_matching, k_coloring, DeltaPlusOne};
-use lcl_landscape::volume::lca::VolumeAsLca;
-use lcl_landscape::volume::{
-    simulate_lca_with, simulate_with as simulate_volume_with, FnVolumeAlgorithm, ProbeSession,
-};
+use lcl_landscape::faults::Budget;
+use lcl_landscape::lcl::{uniform_input, verify};
+use lcl_landscape::problems::{anti_matching, k_coloring};
+use lcl_landscape::procshard::ProcOptions;
 
 /// How a single chaos run ended; the absence of a fourth (panic) leg is
 /// the property under test.
@@ -36,176 +33,32 @@ enum Leg {
     Degraded,
 }
 
-fn labeling_fp(g: &Graph, out: &HalfEdgeLabeling<OutLabel>) -> String {
-    (0..g.half_edge_count() as u32)
-        .map(|h| out.get(HalfEdgeId(h)).0.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn faults_fp(faults: &[lcl_landscape::faults::NodeFault]) -> String {
-    faults
-        .iter()
-        .map(|f| format!("{}@{}:{}", f.node, f.round, f.payload))
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-/// One LOCAL (sync executor) chaos run: Δ+1 coloring on a random tree
-/// under a random plan. Returns the outcome leg and a full fingerprint.
-fn local_run(seed: u64) -> (Leg, String) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n = rng.gen_range(6usize..32);
-    let g = gen::random_tree(n, 3, seed);
-    let input = uniform_input(&g);
-    let ids: Vec<u64> = IdAssignment::random_polynomial(n, 3, seed ^ 1)
-        .iter()
-        .collect();
-    let plan = FaultPlan::random(seed, n, 4);
-    let report = simulate_sync_with(
-        &DeltaPlusOne { delta: 3 },
-        &g,
-        &input,
-        &ids,
-        None,
-        1000,
-        RunOptions::new().faults(&plan),
-    );
-    let degraded = &report.outcome;
-    let fp = format!(
-        "rounds={};out={};faults={}",
-        degraded.outcome.rounds,
-        labeling_fp(&g, &degraded.outcome.output),
-        faults_fp(&degraded.faults)
-    );
-    let leg = if degraded.is_degraded() {
+/// One chaos run of `model`'s instance for `seed` under the seed's
+/// random plan, both drawn from the chaos table. Returns the outcome
+/// leg and a full fingerprint.
+fn chaos_run(model: Model, seed: u64) -> (Leg, String) {
+    let run = model
+        .run(seed, &model.plan(seed), &ProcOptions::default())
+        .expect("faulted runs degrade instead of erroring");
+    let leg = if run.is_degraded() {
         Leg::Degraded
-    } else if verify(&k_coloring(4, 3), &g, &input, &degraded.outcome.output).is_empty() {
-        Leg::Valid
-    } else {
+    } else if model == Model::Local
+        && !verify(
+            &k_coloring(4, 3),
+            &run.graph,
+            &uniform_input(&run.graph),
+            &run.output,
+        )
+        .is_empty()
+    {
         Leg::Violations
-    };
-    (leg, fp)
-}
-
-#[allow(clippy::type_complexity)] // `impl Trait` closure types cannot be aliased
-fn neighbor_probe_alg() -> FnVolumeAlgorithm<
-    impl Fn(usize) -> usize,
-    impl Fn(&mut ProbeSession<'_>) -> Result<Vec<OutLabel>, lcl_landscape::volume::ProbeError>,
-> {
-    FnVolumeAlgorithm::new(
-        "chaos-neighbor",
-        |_| 2,
-        |s| {
-            let d = s.queried().degree as usize;
-            let n0 = s.probe(0, 0)?;
-            Ok(vec![OutLabel((n0.id % 97) as u32); d])
-        },
-    )
-}
-
-/// One VOLUME chaos run on a cycle.
-fn volume_run(seed: u64) -> (Leg, String) {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xabcd);
-    let n = rng.gen_range(4usize..24);
-    let g = gen::cycle(n);
-    let input = uniform_input(&g);
-    let ids = IdAssignment::random_polynomial(n, 3, seed ^ 2);
-    let plan = FaultPlan::random(seed, n, 4);
-    let report = simulate_volume_with(
-        &neighbor_probe_alg(),
-        &g,
-        &input,
-        &ids,
-        None,
-        RunOptions::new().faults(&plan),
-    )
-    .expect("faulted runs degrade instead of erroring");
-    let degraded = &report.outcome;
-    let fp = format!(
-        "probes={};out={};faults={}",
-        degraded.outcome.total_probes,
-        labeling_fp(&g, &degraded.outcome.output),
-        faults_fp(&degraded.faults)
-    );
-    let leg = if degraded.is_degraded() {
-        Leg::Degraded
     } else {
-        // The echo algorithm solves no LCL; completion without faults is
-        // the "valid" leg for this model.
+        // Only the LOCAL instance solves an LCL (Δ+1 colouring); the
+        // echo algorithms of the other models solve none, so completion
+        // without faults is their "valid" leg.
         Leg::Valid
     };
-    (leg, fp)
-}
-
-/// One LCA chaos run: identifiers are exactly `1..=n` (the LCA promise),
-/// which every plan's ID permutation preserves.
-fn lca_run(seed: u64) -> (Leg, String) {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-    let n = rng.gen_range(4usize..24);
-    let g = gen::path(n);
-    let input = uniform_input(&g);
-    let ids = IdAssignment::from_vec((1..=n as u64).collect());
-    let plan = FaultPlan::random(seed, n, 4);
-    let report = simulate_lca_with(
-        &VolumeAsLca(neighbor_probe_alg()),
-        &g,
-        &input,
-        &ids,
-        RunOptions::new().faults(&plan),
-    )
-    .expect("faulted runs degrade instead of erroring");
-    let degraded = &report.outcome;
-    let fp = format!(
-        "probes={};out={};faults={}",
-        degraded.outcome.total_probes,
-        labeling_fp(&g, &degraded.outcome.output),
-        faults_fp(&degraded.faults)
-    );
-    let leg = if degraded.is_degraded() {
-        Leg::Degraded
-    } else {
-        Leg::Valid
-    };
-    (leg, fp)
-}
-
-/// One PROD-LOCAL chaos run on an oriented grid.
-fn prod_run(seed: u64) -> (Leg, String) {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xfeed);
-    let a = rng.gen_range(3usize..7);
-    let b = rng.gen_range(3usize..7);
-    let grid = OrientedGrid::new(&[a, b]);
-    let ids = ProdIds::sequential(&grid);
-    let input = uniform_input(grid.graph());
-    let plan = FaultPlan::random(seed, grid.node_count(), 1);
-    let alg = FnProdAlgorithm::new(
-        "chaos-echo",
-        |_| 1,
-        |view: &lcl_landscape::grid::GridView| {
-            vec![OutLabel((view.id(0, -1) % 97) as u32); 2 * view.d]
-        },
-    );
-    let report = simulate_prod_with(
-        &alg,
-        &grid,
-        &input,
-        &ids,
-        None,
-        RunOptions::new().faults(&plan),
-    );
-    let degraded = &report.outcome;
-    let fp = format!(
-        "out={};faults={}",
-        labeling_fp(grid.graph(), &degraded.outcome.output),
-        faults_fp(&degraded.faults)
-    );
-    let leg = if degraded.is_degraded() {
-        Leg::Degraded
-    } else {
-        Leg::Valid
-    };
-    (leg, fp)
+    (leg, run.fingerprint())
 }
 
 /// One budgeted round-elimination run at a given thread count: random
@@ -252,9 +105,9 @@ fn tower_run(seed: u64, threads: usize) -> String {
 fn soak(plans_per_model: usize, thread_variants: &[usize]) {
     let mut legs = [0usize; 3];
     for seed in 0..plans_per_model as u64 {
-        for run in [local_run, volume_run, lca_run, prod_run] {
-            let (leg, fp) = run(seed);
-            let (leg2, fp2) = run(seed);
+        for model in Model::SOAK {
+            let (leg, fp) = chaos_run(model, seed);
+            let (leg2, fp2) = chaos_run(model, seed);
             assert_eq!(leg, leg2, "seed {seed}: outcome leg must be deterministic");
             assert_eq!(
                 fp, fp2,

@@ -17,6 +17,7 @@
 
 use lcl_rng::SmallRng;
 
+use lcl_bench::recover_report::{endpoints_problem, threshold_alg};
 use lcl_landscape::core::{ReOptions, ReTower};
 use lcl_landscape::faults::{Budget, Fault, FaultPlan, RunOptions};
 use lcl_landscape::graph::gen;
@@ -32,10 +33,7 @@ use lcl_landscape::recover::{
     supervise_tower, RepairOptions, RetryPolicy,
 };
 use lcl_landscape::volume::lca::VolumeAsLca;
-use lcl_landscape::volume::{
-    simulate_lca_with, simulate_with as simulate_volume_with, FnVolumeAlgorithm, ProbeError,
-    ProbeSession,
-};
+use lcl_landscape::volume::{simulate_lca_with, simulate_with as simulate_volume_with};
 
 /// How one recovery attempt ended. `Invalid` must never appear.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -72,45 +70,6 @@ fn crash_corrupt_plan(seed: u64, n: usize) -> FaultPlan {
         plan = plan.with_permuted_ids();
     }
     plan
-}
-
-/// Path LCL solved by [`threshold_alg`]: endpoints label E, internal
-/// nodes I, and X is valid nowhere.
-fn endpoints_problem() -> LclProblem {
-    LclProblem::builder("endpoints", 2)
-        .outputs(["E", "I", "X"])
-        .node_pattern(&["E"])
-        .node_pattern(&["I*"])
-        .edge(&["E", "I"])
-        .edge(&["I", "I"])
-        .build()
-        .unwrap()
-}
-
-/// Solves [`endpoints_problem`] from the queried node alone — unless a
-/// corrupted view hands it an id beyond `n`, which it trusts and betrays
-/// as the invalid label X (silent corruption becomes visible damage).
-#[allow(clippy::type_complexity)] // `impl Trait` closure types cannot be aliased
-fn threshold_alg(
-    n: u64,
-) -> FnVolumeAlgorithm<
-    impl Fn(usize) -> usize,
-    impl Fn(&mut ProbeSession<'_>) -> Result<Vec<OutLabel>, ProbeError>,
-> {
-    FnVolumeAlgorithm::new(
-        "threshold",
-        |_| 1,
-        move |s| {
-            let d = s.queried().degree as usize;
-            if s.queried().id > n {
-                Ok(vec![OutLabel(2); d])
-            } else if d == 1 {
-                Ok(vec![OutLabel(0)])
-            } else {
-                Ok(vec![OutLabel(1); d])
-            }
-        },
-    )
 }
 
 /// One LOCAL (sync) recovery run: Δ+1 coloring on a path.
